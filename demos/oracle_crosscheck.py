@@ -14,7 +14,6 @@ import numpy as np
 from volflow import (
     d_at_point,
     generate,
-    jet_at,
     omega_power,
     random_two_form,
     solve_nu_n,
@@ -29,7 +28,7 @@ for n in (2, 3, 4):
     worst = 0.0
     for _ in range(25):
         x = rng.normal(size=2 * n) * 0.5
-        dalpha = d_at_point(jet_at(alpha, x))
+        dalpha = d_at_point(alpha.jet_at(x))
         target = wedge(dalpha, omega_power(n, n - 2)) * float(n * (n - 1))
         solved = solve_nu_n(target, n)
         scale = 1.0 + float(np.max(np.abs(solved)))

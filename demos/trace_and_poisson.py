@@ -18,7 +18,6 @@ from volflow import (
     generate,
     gradient_one_form,
     hamiltonian_two_form,
-    jet_at,
     poisson_bracket,
     poisson_trace_residual,
     poly_variables,
@@ -44,7 +43,7 @@ print("1. trace vs oracle ratio")
 worst = 0.0
 for _ in range(20):
     x = rng.normal(size=2 * n)
-    jet = jet_at(alpha, x)
+    jet = alpha.jet_at(x)
     form = two_form_from_components(jet.Q, jet.A, jet.P)
     worst = max(worst, abs(trace(alpha, x) - trace_of(form, n)))
 print(f"   max |A^i_i - wedge ratio| over 20 points: {worst:.3e}")

@@ -39,7 +39,6 @@ from .forms import (
     TwoFormField,
     gauge_shift,
     hamiltonian_two_form,
-    jet_at,
     linear_system_two_form,
     poly_variables,
     trace,

@@ -147,6 +147,8 @@ def cmd_simulate(args) -> int:
         x0 = system.default_x0 if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
         if x0.shape != (2 * system.n,):
             raise ConfigError(f"x0 must have length {2 * system.n}")
+        if not np.isfinite(x0).all():
+            raise ConfigError("x0 must be finite (NaN and Infinity are not allowed)")
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

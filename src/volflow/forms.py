@@ -30,7 +30,6 @@ __all__ = [
     "poly_variables",
     "OneFormField",
     "TwoFormField",
-    "jet_at",
     "hamiltonian_two_form",
     "linear_system_two_form",
     "trace",
@@ -243,7 +242,11 @@ class Polynomial(ScalarField):
             exps = self._exps[keep].copy()
             coeffs = self._coeffs[keep] * exps[:, i]
             exps[:, i] -= 1
-            self._partials[i] = Polynomial(self.dim, (exps, coeffs))
+            # Lowering one exponent of every kept row leaves the rows distinct,
+            # lexically sorted and with nonzero coefficients: already normal.
+            out = Polynomial.__new__(Polynomial)
+            out.dim, out._exps, out._coeffs, out._partials = self.dim, exps, coeffs, {}
+            self._partials[i] = out
         return self._partials[i]
 
     # -- exact arithmetic ------------------------------------------------------
@@ -382,8 +385,6 @@ class TwoFormField:
         self._Q = self._check_upper("Q", Q)
         self._A = self._check_any("A", A)
         self._P = self._check_upper("P", P)
-        self._compiled = None
-        self._compile_failed = False
 
     def _check_upper(self, name, comps):
         out = {}
@@ -471,21 +472,6 @@ class TwoFormField:
     def jet_at(self, x) -> PointwiseJet:
         """Component values and first partials at x (batched points allowed)."""
         pts = as_points(x, 2 * self.n)
-        compiled = self._get_compiled()
-        if compiled is not None:
-            return compiled.jet(pts)
-        return self._jet_generic(pts)
-
-    def _get_compiled(self):
-        if self._compiled is None and not self._compile_failed:
-            fields = [f for _, _, _, f in self.components()]
-            if all(isinstance(f, Polynomial) and f.dim == 2 * self.n for f in fields):
-                self._compiled = _CompiledJet(self)
-            else:
-                self._compile_failed = True
-        return self._compiled
-
-    def _jet_generic(self, pts: np.ndarray) -> PointwiseJet:
         n = self.n
         batch = pts.shape[:-1]
         arrays = {
@@ -508,96 +494,6 @@ class TwoFormField:
                 darrays[f"d{kind}_dq"][..., j, i, :] = -g[..., :n]
                 darrays[f"d{kind}_dp"][..., j, i, :] = -g[..., n:]
         return PointwiseJet(n=n, **arrays, **darrays)
-
-
-class _CompiledJet:
-    """Shared-monomial evaluation of all components of a polynomial 2-form.
-
-    Every component and every partial is a polynomial over the same 2n
-    coordinates, so one monomial table per point batch feeds two matrix
-    multiplies that produce all values and all partials at once.  This is
-    purely an evaluation strategy; results match the generic path exactly.
-    """
-
-    def __init__(self, form: TwoFormField):
-        self.n = form.n
-        dim = 2 * form.n
-        self.dim = dim
-        self.comps = [(kind, i, j) for kind, i, j, _ in form.components()]
-        fields = [f for _, _, _, f in form.components()]
-        ncomp = len(fields)
-
-        def build(polys_per_column):
-            rows = [p._exps for p in polys_per_column if p._exps.shape[0]]
-            if not rows:
-                return np.zeros((0, dim), dtype=np.int64), np.zeros((0, len(polys_per_column)))
-            basis = np.unique(np.vstack(rows), axis=0)
-            order = {tuple(row): r for r, row in enumerate(basis)}
-            mat = np.zeros((basis.shape[0], len(polys_per_column)))
-            for c, p in enumerate(polys_per_column):
-                for row, coeff in zip(p._exps, p._coeffs):
-                    mat[order[tuple(row)], c] = coeff
-            return basis, mat
-
-        self.val_basis, self.val_mat = build(fields)
-        partial_cols = [f.partial(d) for f in fields for d in range(dim)]
-        self.par_basis, self.par_mat = build(partial_cols)
-        self.ncomp = ncomp
-
-        # index arrays for scattering component columns into jet tensors
-        self.slots = {}
-        for kind in ("Q", "A", "P"):
-            cols = [c for c, (k, _, _) in enumerate(self.comps) if k == kind]
-            ii = np.array([self.comps[c][1] for c in cols], dtype=np.intp)
-            jj = np.array([self.comps[c][2] for c in cols], dtype=np.intp)
-            self.slots[kind] = (np.array(cols, dtype=np.intp), ii, jj)
-
-    def _table(self, pts, basis):
-        if basis.shape[0] == 0:
-            return np.zeros(pts.shape[:-1] + (0,))
-        return np.prod(pts[..., None, :] ** basis, axis=-1)
-
-    def jet(self, pts: np.ndarray) -> PointwiseJet:
-        n = self.n
-        batch = pts.shape[:-1]
-        vals = self._table(pts, self.val_basis) @ self.val_mat      # (..., ncomp)
-        parts = self._table(pts, self.par_basis) @ self.par_mat     # (..., ncomp*dim)
-        parts = parts.reshape(batch + (self.ncomp, self.dim))
-        if not (np.isfinite(vals).all() and np.isfinite(parts).all()):
-            self._raise_offender(pts)
-
-        arrays = {name: np.zeros(batch + (n, n)) for name in ("Q", "A", "P")}
-        darrays = {
-            name: np.zeros(batch + (n, n, n))
-            for name in ("dQ_dq", "dQ_dp", "dA_dq", "dA_dp", "dP_dq", "dP_dp")
-        }
-        for kind in ("Q", "A", "P"):
-            cols, ii, jj = self.slots[kind]
-            if cols.size == 0:
-                continue
-            v = vals[..., cols]
-            gq = parts[..., cols, :n]
-            gp = parts[..., cols, n:]
-            arrays[kind][..., ii, jj] = v
-            darrays[f"d{kind}_dq"][..., ii, jj, :] = gq
-            darrays[f"d{kind}_dp"][..., ii, jj, :] = gp
-            if kind in ("Q", "P"):
-                arrays[kind][..., jj, ii] = -v
-                darrays[f"d{kind}_dq"][..., jj, ii, :] = -gq
-                darrays[f"d{kind}_dp"][..., jj, ii, :] = -gp
-        return PointwiseJet(n=n, **arrays, **darrays)
-
-    def _raise_offender(self, pts):
-        for (kind, i, j), col in zip(self.comps, range(self.ncomp)):
-            v = self._table(pts, self.val_basis) @ self.val_mat[:, col]
-            if not np.isfinite(v).all():
-                raise FieldEvaluationError(f"{kind}[{i},{j}]")
-        raise FieldEvaluationError("partials")
-
-
-def jet_at(alpha: TwoFormField, x) -> PointwiseJet:
-    """Values and first partials of alpha's components at x."""
-    return alpha.jet_at(x)
 
 
 def hamiltonian_two_form(H: ScalarField, n: int) -> TwoFormField:

@@ -17,7 +17,16 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .forms import PhaseState, ScalarField, TwoFormField, as_points, traceless_part, trace_field
+from .forms import (
+    FieldEvaluationError,
+    PhaseState,
+    Polynomial,
+    ScalarField,
+    TwoFormField,
+    as_points,
+    trace_field,
+    traceless_part,
+)
 
 __all__ = [
     "GeneratedField",
@@ -66,26 +75,103 @@ class GeneratedField:
 
 
 def generate(alpha: TwoFormField) -> GeneratedField:
-    """The volume-preserving field generated by the 2-form alpha."""
+    """The volume-preserving field generated by the 2-form alpha.
+
+    When every component is a `Polynomial`, X is a polynomial too: it is
+    compiled here, once, into a monomial basis and a coefficient matrix.
+    Any other component makes each call go through the component jet.
+    """
     n = alpha.n
-
-    def eval_fn(pts):
-        jet = alpha.jet_at(pts)
-        # qdot^i = dP^ij/dq^j + d(trA)/dp_i - dA^i_j/dp_j
-        qdot = (
-            np.einsum("...ijj->...i", jet.dP_dq)
-            + np.einsum("...jji->...i", jet.dA_dp)
-            - np.einsum("...ijj->...i", jet.dA_dp)
-        )
-        # pdot_i = dQ_ij/dp_j - d(trA)/dq^i + dA^j_i/dq^j
-        pdot = (
-            np.einsum("...ijj->...i", jet.dQ_dp)
-            - np.einsum("...jji->...i", jet.dA_dq)
-            + np.einsum("...jij->...i", jet.dA_dq)
-        )
-        return np.concatenate([qdot, pdot], axis=-1)
-
+    fields = [f for _, _, _, f in alpha.components()]
+    if all(isinstance(f, Polynomial) and f.dim == 2 * n for f in fields):
+        eval_fn = _PolynomialField(n, _field_terms(alpha))
+    else:
+        eval_fn = lambda pts: _jet_field(alpha.jet_at(pts))
     return GeneratedField(n, eval_fn, "from-two-form", alpha)
+
+
+def _jet_field(jet) -> np.ndarray:
+    # qdot^i = dP^ij/dq^j + d(trA)/dp_i - dA^i_j/dp_j
+    qdot = (
+        np.einsum("...ijj->...i", jet.dP_dq)
+        + np.einsum("...jji->...i", jet.dA_dp)
+        - np.einsum("...ijj->...i", jet.dA_dp)
+    )
+    # pdot_i = dQ_ij/dp_j - d(trA)/dq^i + dA^j_i/dq^j
+    pdot = (
+        np.einsum("...ijj->...i", jet.dQ_dp)
+        - np.einsum("...jji->...i", jet.dA_dq)
+        + np.einsum("...jij->...i", jet.dA_dq)
+    )
+    return np.concatenate([qdot, pdot], axis=-1)
+
+
+def _field_terms(alpha: TwoFormField):
+    """Yield (a, sign, f, d): X^a gains sign * df/dx^d, term by term.
+
+    Coordinates are indexed (q^1..q^n, p_1..p_n).  Q and P are stored above
+    the diagonal only, so each stored entry also enters as its negated
+    reflection.
+    """
+    n = alpha.n
+    for kind, i, j, f in alpha.components():
+        if kind == "Q":  # pdot_i += dQ_ij/dp_j
+            yield n + i, 1.0, f, n + j
+            yield n + j, -1.0, f, n + i
+        elif kind == "P":  # qdot^i += dP^ij/dq^j
+            yield i, 1.0, f, j
+            yield j, -1.0, f, i
+        else:  # qdot^i -= dA^i_j/dp_j;  pdot_j += dA^i_j/dq^i
+            yield i, -1.0, f, n + j
+            yield n + j, 1.0, f, i
+            if i == j:  # qdot^k += d(trA)/dp_k;  pdot_k -= d(trA)/dq^k
+                for k in range(n):
+                    yield k, 1.0, f, n + k
+                    yield n + k, -1.0, f, k
+
+
+class _PolynomialField:
+    """X(x) = m(x) @ C for a polynomial field, m the monomials of one basis.
+
+    The exact partials named by `terms` are merged into an (m, 2n) exponent
+    basis and an (m, 2n) coefficient matrix C.  A call builds the power
+    table x_d^0..x_d^deg of each coordinate and multiplies the gathered
+    powers across coordinates into the monomial table m(x).
+    """
+
+    def __init__(self, n: int, terms):
+        dim = 2 * n
+        exps = [np.zeros((0, dim), dtype=np.int64)]
+        coeffs, cols = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
+        for a, sign, f, d in terms:
+            g = f.partial(d)
+            exps.append(g._exps)
+            coeffs.append(sign * g._coeffs)
+            cols.append(np.full(g._coeffs.shape, a))
+        basis, inverse = np.unique(np.vstack(exps), axis=0, return_inverse=True)
+        C = np.zeros((basis.shape[0], dim))
+        np.add.at(C, (inverse.ravel(), np.concatenate(cols)), np.concatenate(coeffs))
+        keep = np.any(C != 0.0, axis=1)  # drop monomials whose terms all cancelled
+        self.C = C[keep]
+        basis = basis[keep]
+        self.deg = int(basis.max(initial=0))
+        # flat index of x_d^e in the (deg + 1) * dim power table, for every
+        # coordinate d that some monomial uses
+        used = np.flatnonzero(np.any(basis > 0, axis=0))
+        self.gather = basis[:, used] * dim + used
+        self.names = [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        powers = [np.ones_like(pts)]
+        for _ in range(self.deg):
+            powers.append(powers[-1] * pts)
+        table = np.concatenate(powers, axis=-1)
+        monos = np.prod(table[..., self.gather], axis=-1)
+        out = monos @ self.C
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise FieldEvaluationError(self.names[np.argwhere(~finite)[0, -1]])
+        return out
 
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:

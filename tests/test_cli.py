@@ -147,6 +147,15 @@ def test_simulate_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_simulate_rejects_non_finite_x0(tmp_path, capsys, bad):
+    cfg = _zero_config(tmp_path, x0=[float(bad), 0.5, -0.2, 0.3])
+    assert bad in (tmp_path / "config.json").read_text()  # a token json.load accepts
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_simulate_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

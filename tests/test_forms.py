@@ -16,7 +16,6 @@ from volflow import (
     d_at_point,
     gauge_shift,
     hamiltonian_two_form,
-    jet_at,
     poly_variables,
     trace,
     trace_field,
@@ -205,7 +204,7 @@ def test_two_form_arithmetic():
 
 
 def _lambda_twin(alpha: TwoFormField) -> TwoFormField:
-    """Rebuild alpha with plain ScalarFields so jets take the generic path."""
+    """Rebuild alpha with plain ScalarFields, whose partials are finite differences."""
     def wrap(poly):
         return ScalarField(lambda xx, p=poly: p.value(xx))
 
@@ -218,7 +217,9 @@ def _lambda_twin(alpha: TwoFormField) -> TwoFormField:
     )
 
 
-def test_jet_compiled_matches_generic():
+def test_jet_polynomial_matches_callable_twin():
+    # exact polynomial partials against the finite-difference partials of
+    # the same components wrapped as plain callables
     alpha = _poly_alpha()
     twin = _lambda_twin(alpha)
     rng = np.random.default_rng(5)
@@ -264,18 +265,12 @@ def test_jet_reports_offending_component_generic():
     assert "A" in str(info.value)
 
 
-def test_jet_overflow_compiled_path():
+def test_jet_overflow_polynomial():
     huge = Polynomial(4, {(8, 0, 0, 0): 1e300})
     alpha = TwoFormField(2, A={(0, 0): huge})
     with pytest.raises(FieldEvaluationError):
         with np.errstate(over="ignore", invalid="ignore"):
             alpha.jet_at(np.array([1e5, 0.0, 0.0, 0.0]))
-
-
-def test_jet_at_free_function():
-    alpha = _poly_alpha()
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.array_equal(jet_at(alpha, x).A, alpha.jet_at(x).A)
 
 
 # ----------------------------------------------------- constructors and traces

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volflow import (
+    FieldEvaluationError,
     GeneratedField,
     PhaseState,
     Polynomial,
+    ScalarField,
     TwoFormField,
     decompose,
     feng_shang_field,
@@ -16,8 +18,10 @@ from volflow import (
     generate,
     hamiltonian_field,
     hamiltonian_two_form,
+    integrate,
     nu_k,
     poly_variables,
+    random_two_form,
     solve_nu_n,
     wedge,
     omega_power,
@@ -83,6 +87,91 @@ def test_generated_nu_matches_construction():
     lhs = nu_k(X(x), 2, 2)
     rhs = d_at_point(alpha.jet_at(x)) * 2.0
     assert (lhs - rhs).max_abs() < 1e-12
+
+
+# ------------------------------------------------------- compiled polynomial map
+
+
+def _formula(alpha, x):
+    """The generating formula over the component jet, written out in full."""
+    jet = alpha.jet_at(x)
+    qdot = (
+        np.einsum("...ijj->...i", jet.dP_dq)
+        + np.einsum("...jji->...i", jet.dA_dp)
+        - np.einsum("...ijj->...i", jet.dA_dp)
+    )
+    pdot = (
+        np.einsum("...ijj->...i", jet.dQ_dp)
+        - np.einsum("...jji->...i", jet.dA_dq)
+        + np.einsum("...jij->...i", jet.dA_dq)
+    )
+    return np.concatenate([qdot, pdot], axis=-1)
+
+
+def _count_jet_calls(alpha, monkeypatch):
+    calls = []
+    jet_at = alpha.jet_at
+    monkeypatch.setattr(alpha, "jet_at", lambda x: calls.append(1) or jet_at(x))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compiled_field_matches_formula(n, monkeypatch):
+    rng = np.random.default_rng(20 + n)
+    for trial in range(6):
+        alpha = random_two_form(n, rng, traceless=bool(trial % 2))
+        calls = _count_jet_calls(alpha, monkeypatch)
+        X = generate(alpha)
+        for shape in [(), (5,), (2, 3)]:
+            x = rng.normal(size=shape + (2 * n,))
+            before = len(calls)
+            got = X(x)
+            assert len(calls) == before  # the polynomial map never builds the jet
+            want = _formula(alpha, x)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
+
+
+def test_zero_two_form_generates_zeros():
+    for n in (2, 3):
+        X = generate(TwoFormField(n))
+        for shape in [(), (4,), (2, 3)]:
+            x = np.ones(shape + (2 * n,))
+            out = X(x)
+            assert out.shape == x.shape
+            assert not out.any()
+
+
+def test_mixed_components_use_the_jet(monkeypatch):
+    q, p = poly_variables(2)
+    wavy = ScalarField(
+        lambda x: np.sin(x[..., 0]) * x[..., 3],
+        lambda x: np.stack([np.cos(x[..., 0]) * x[..., 3], 0 * x[..., 0],
+                            0 * x[..., 0], np.sin(x[..., 0])], axis=-1),
+    )
+    alpha = TwoFormField(2, Q={(0, 1): q[1] * p[0]}, A={(0, 1): wavy, (1, 1): p[0] * p[0]})
+    calls = _count_jet_calls(alpha, monkeypatch)
+    X = generate(alpha)
+    rng = np.random.default_rng(7)
+    for shape in [(), (5,), (2, 3)]:
+        x = rng.normal(size=shape + (4,))
+        got = X(x)
+        want = _formula(alpha, x)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
+    assert len(calls) == 6  # one jet per field call, one per formula
+
+
+def test_compiled_field_overflow_is_reported():
+    huge = Polynomial(4, {(8, 0, 0, 0): 1e300})
+    x = np.array([1e5, 0.0, 0.0, 0.0])
+    # in A[0,0] a function of q^1 alone cancels out of X: the field is exactly 0
+    assert not generate(TwoFormField(2, A={(0, 0): huge}))(x).any()
+    X = generate(TwoFormField(2, A={(0, 1): huge}))  # pdot_2 = 8e300 (q^1)^7
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FieldEvaluationError) as info:
+            X(x)
+    assert info.value.component == "pdot2"
+    assert integrate(X, x, 1e-3, 5).failed
 
 
 # -------------------------------------------------------------- field mechanics
