@@ -15,7 +15,7 @@ from volflow import (
     COUPLED_K,
     LinearSystemSpec,
     coupled_oscillators,
-    flow_jacobian_det,
+    flow_jacobian_dets,
     integrate,
     lie_derivative_omega,
 )
@@ -38,7 +38,7 @@ print(f"\ntrajectory from {x0} (energy is NOT constant):")
 for t, x in zip(traj.times, traj.states):
     print(f"  t = {t:5.1f}   |x| = {np.linalg.norm(x):9.3f}   H = {H.value(x):10.4f}")
 
-det = flow_jacobian_det(sys.field, x0, dt=dt, steps=steps)
+det = flow_jacobian_dets(sys.field, x0, dt=dt, steps=steps)[1][-1]
 print(f"\ndet(dPhi_T) - 1 at T = {T}: {det - 1:+.3e}   (volume survives the growth)")
 
 L = lie_derivative_omega(sys.field, x0)

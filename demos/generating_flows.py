@@ -12,9 +12,8 @@ import numpy as np
 from volflow import (
     TwoFormField,
     divergence_at,
-    flow_jacobian_dets,
     generate,
-    integrate,
+    monitor,
     poly_variables,
 )
 
@@ -40,9 +39,9 @@ div = divergence_at(X, rng.normal(size=(200, 2 * n)))
 print(f"\nmax |div X| over 200 random points: {np.max(np.abs(div)):.3e}")
 
 x0 = 0.1 * np.ones(2 * n)
-traj = integrate(X, x0, dt=1e-3, steps=5000, sample_every=500)
-times, dets = flow_jacobian_dets(X, x0, dt=1e-3, steps=5000, sample_every=500)
+diag = monitor(X, x0, dt=1e-3, steps=5000, sample_every=500)
+times, dets = diag.times, diag.volume_dets
 print(f"\nflow from x0 = {x0} to t = {times[-1]:.1f}:")
-for t, d, x in zip(times, dets, traj.states):
+for t, d, x in zip(times, dets, diag.states):
     print(f"  t = {t:4.1f}   det(dPhi_t) - 1 = {d - 1:+.3e}   |x| = {np.linalg.norm(x):.4f}")
 print(f"\nworst volume-determinant error: {np.max(np.abs(dets - 1.0)):.3e}")

@@ -59,7 +59,6 @@ from .dynamics import (
     Trajectory,
     check_dotf,
     divergence_at,
-    flow_jacobian_det,
     flow_jacobian_dets,
     gradient_one_form,
     integrate,

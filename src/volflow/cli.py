@@ -24,7 +24,7 @@ import numpy as np
 from .exterior import d_at_point, omega_power, solve_nu_n, wedge
 from .forms import Polynomial, TwoFormField, hamiltonian_two_form
 from .generator import generate
-from .dynamics import integrate, monitor
+from .dynamics import monitor
 from .systems import build_system, coupled_oscillators, random_two_form
 from .verify import TOLERANCES, run_all
 
@@ -153,7 +153,13 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    traj = integrate(system.field, x0, cfg.dt, cfg.steps, cfg.sample_every)
+    observables = {}
+    if system.hamiltonian is not None:
+        observables["H"] = system.hamiltonian
+    diag = monitor(system.field, x0, cfg.dt, cfg.steps,
+                   sample_every=max(1, cfg.steps // 20), observables=observables,
+                   trajectory_every=cfg.sample_every)
+    traj = diag.trajectory
     _write_trajectory_csv(cfg.trajectory_path, traj.times, traj.states, system.n)
 
     diagnostics: Dict[str, object] = {
@@ -164,6 +170,7 @@ def cmd_simulate(args) -> int:
         "sample_every": cfg.sample_every,
         "failed": bool(traj.failed),
         "rows_written": int(traj.states.shape[0]),
+        "field_evaluations": diag.field_evaluations,
     }
     if traj.failed:
         diagnostics["last_valid_time"] = float(traj.times[-1]) if traj.times.size else 0.0
@@ -172,12 +179,6 @@ def cmd_simulate(args) -> int:
               f"{cfg.trajectory_path}", file=sys.stderr)
         return FAILURE
 
-    observables = {}
-    if system.hamiltonian is not None:
-        observables["H"] = system.hamiltonian
-    diag_every = max(1, cfg.steps // 20)
-    diag = monitor(system.field, x0, cfg.dt, cfg.steps, sample_every=diag_every,
-                   observables=observables)
     lie_max = diag.max_lie_omega()
     diagnostics.update({
         "volume_det_max_abs_err": diag.max_volume_error(),
@@ -200,8 +201,8 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     try:
         n_list = tuple(int(tok) for tok in str(args.n).split(",") if tok.strip())
-        if not n_list or any(n < 1 or n > 4 for n in n_list):
-            raise ConfigError("--n must list integers in 1..4")
+        if not n_list or any(n < 2 or n > 4 for n in n_list):
+            raise ConfigError("--n must list integers in 2..4")
         seed = _seed_fallback(args.seed, 42)
         trials = int(args.trials)
         if trials < 0:
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     chk = sub.add_parser("check", help="run the verification suites")
-    chk.add_argument("--n", default="2,3", help="comma-separated n values (default 2,3)")
+    chk.add_argument("--n", default="2,3", help="comma-separated n values in 2..4 (default 2,3)")
     chk.add_argument("--trials", type=int, default=100,
                      help="sampling effort (default 100; 0 runs nothing)")
     chk.add_argument("--seed", type=int, default=None,

@@ -11,7 +11,7 @@ df/dt along the flow to an exterior product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .generator import GeneratedField, generate
 __all__ = [
     "Trajectory",
     "integrate",
-    "flow_jacobian_det",
     "flow_jacobian_dets",
     "divergence_at",
     "lie_derivative_omega",
@@ -74,12 +73,31 @@ class Trajectory:
         return self.states[..., self.n :]
 
 
-def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = field(x)
+def _rk4_step(field: Callable, x: np.ndarray, dt: float,
+              k1: Optional[np.ndarray] = None) -> np.ndarray:
+    """One RK4 step from x; k1 = field(x) may be passed in when known."""
+    if k1 is None:
+        k1 = field(x)
     k2 = field(x + 0.5 * dt * k1)
     k3 = field(x + 0.5 * dt * k2)
     k4 = field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _initial_state(field, x0, dt: float, steps: int, *intervals: int) -> np.ndarray:
+    """A copy of x0 as points, once the step arguments are checked."""
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if any(every < 1 for every in intervals):
+        raise ValueError("sample_every must be >= 1")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    return as_points(x0, 2 * getattr(field, "n", 0) or None).copy()
+
+
+def _sample_times(dt: float, steps: int, every: int) -> np.ndarray:
+    """Times of step 0 and of every `every`-th step."""
+    return np.array([dt * k for k in range(0, steps + 1, every)])
 
 
 def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajectory:
@@ -89,19 +107,10 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     step produces a non-finite state the trajectory is truncated at the
     last finite sample and marked failed rather than raising.
     """
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    dim = 2 * getattr(field, "n", 0) or None
-    x = as_points(x0, dim).copy()
+    x = _initial_state(field, x0, dt, steps, sample_every)
     dt = float(dt)
-
-    sample_steps = list(range(0, steps + 1, sample_every))
-    times = np.array([dt * k for k in sample_steps])
-    states = np.empty((len(sample_steps),) + x.shape)
+    times = _sample_times(dt, steps, sample_every)
+    states = np.empty((times.size,) + x.shape)
     states[0] = x
     write = 1
     failed = False
@@ -126,56 +135,148 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     return Trajectory(times, states, dt=dt, field=field)
 
 
+def _variational_field(field: GeneratedField) -> GeneratedField:
+    """The field (X(x), DX(x) V) on pairs (x, V), V a 2n x 2n matrix stored
+    flat after x.
+
+    This is the variational equation.  One RK4 step of it from (x, I)
+    gives the RK4 step of x together with that step's exact Jacobian S:
+    its stages are dk_1 = DX(x), dk_2 = DX(y_2)(I + dt/2 dk_1),
+    dk_3 = DX(y_3)(I + dt/2 dk_2) and dk_4 = DX(y_4)(I + dt dk_3), and
+    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).  Each evaluation is one
+    `tangent` call of the field, so X and DX come from one monomial table.
+    """
+    n, dim = field.n, 2 * field.n
+
+    def eval_fn(pts):
+        batch = pts.shape[:-1]
+        X, DX = field.tangent(pts[..., :dim])
+        DXV = DX @ pts[..., dim:].reshape(batch + (dim, dim))
+        return np.concatenate([X, DXV.reshape(batch + (dim * dim,))], axis=-1)
+
+    return GeneratedField(n + 2 * n * n, eval_fn, "variational", field)
+
+
+def _tangent_step(variational: GeneratedField, x: np.ndarray, dt: float,
+                  k1: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from x and its exact Jacobian S, by stepping the
+    variational field from (x, I); k1 is its value at (x, I) when known."""
+    dim = x.shape[0]
+    stepped = _rk4_step(variational, np.concatenate([x, np.eye(dim).ravel()]), dt, k1)
+    return stepped[:dim], stepped[dim:].reshape(dim, dim)
+
+
+def _bundle_step(field, x: np.ndarray, dt: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from x and its Jacobian S by central differences.
+
+    The bundle is x and x +- h (1 + |x_b|) e_b, stepped together; its
+    centre row is the step itself, and column b of S comes from the pair
+    displaced along b.  Re-centring at every step keeps each factor well
+    conditioned even when trajectories separate exponentially.
+    """
+    dim = x.shape[0]
+    hvec = h * (1.0 + np.abs(x))
+    bundle = np.concatenate(
+        [x[None, :], x[None, :] + np.diag(hvec), x[None, :] - np.diag(hvec)]
+    )
+    stepped = _rk4_step(field, bundle, dt)
+    return stepped[0], (stepped[1 : 1 + dim] - stepped[1 + dim :]).T / (2.0 * hvec)
+
+
+class _Pass(NamedTuple):
+    trajectory: Trajectory
+    times: np.ndarray
+    states: np.ndarray
+    dets: np.ndarray
+    jacobians: Optional[np.ndarray]
+    calls: int
+
+
+def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
+              trajectory_every: int, h: float) -> _Pass:
+    """Integrate one point once with RK4, carrying each step's Jacobian S.
+
+    A field with an exact tangent steps through `_tangent_step`, any other
+    field through `_bundle_step`.  Records the trajectory every
+    `trajectory_every` steps and, every `sample_every` steps, the state,
+    the flow-Jacobian determinant (by the chain rule, the running product
+    of det S) and, on the exact path, DX at the state.  `calls` counts the
+    field or tangent calls of the completed steps.  A non-finite state,
+    step Jacobian or field value ends the pass, marked failed, with every
+    series cut at its last sample that has all of its values.
+    """
+    x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
+    if x.ndim != 1:
+        raise ValueError("expected a single initial point")
+    dt = float(dt)
+    dim = x.shape[0]
+    exact = isinstance(field, GeneratedField) and field.exact_tangent
+    if exact:
+        variational = _variational_field(field)
+        eye = np.eye(dim).ravel()
+    traj_times = _sample_times(dt, steps, trajectory_every)
+    times = _sample_times(dt, steps, sample_every)
+    traj = np.empty((traj_times.size, dim))
+    states = np.empty((times.size, dim))
+    dets = np.empty(times.size)
+    jacs = np.empty((times.size, dim, dim)) if exact else None
+    traj[0] = states[0] = x
+    dets[0] = running = 1.0
+    n_traj = n_samples = 1
+    calls = 0
+    failed = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if exact:  # the first stage at x0; its tangent part is DX(x0)
+                k1 = variational(np.concatenate([x, eye]))
+                jacs[0] = k1[dim:].reshape(dim, dim)
+                calls = 1
+            for k in range(1, steps + 1):
+                if exact:
+                    x, S = _tangent_step(variational, x, dt, k1)
+                else:
+                    x, S = _bundle_step(field, x, dt, h)
+                if not (np.isfinite(x).all() and np.isfinite(S).all()):
+                    failed = True
+                    break
+                running *= float(np.linalg.det(S))
+                if k % trajectory_every == 0:
+                    traj[n_traj] = x
+                    n_traj += 1
+                if exact:  # the next step's first stage, and DX at x
+                    k1 = variational(np.concatenate([x, eye]))
+                calls += 4
+                if k % sample_every == 0:
+                    states[n_samples] = x
+                    dets[n_samples] = running
+                    if exact:
+                        jacs[n_samples] = k1[dim:].reshape(dim, dim)
+                    n_samples += 1
+        except (FieldEvaluationError, FloatingPointError, OverflowError):
+            failed = True
+    trajectory = Trajectory(traj_times[:n_traj], traj[:n_traj], failed=failed,
+                            last_valid_index=n_traj - 1 if failed else None,
+                            dt=dt, field=field)
+    return _Pass(trajectory, times[:n_samples], states[:n_samples],
+                 dets[:n_samples], None if jacs is None else jacs[:n_samples], calls)
+
+
 def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
                        h: float = 1e-5) -> Tuple[np.ndarray, np.ndarray]:
     """det of the flow map's Jacobian at each sample time.
 
     Chain rule: the determinant over [0, T] is the product of one-step
     determinants det dPhi_dt(x_k) along the trajectory.  Each factor is
-    taken by central differences re-centered at x_k with per-coordinate
-    step h * (1 + |x_a|).  Re-centering keeps every factor well
-    conditioned even when trajectories separate exponentially, where a
-    single end-to-end difference would lose the determinant to roundoff.
-    Returns (times, dets); volume preservation means dets close to one.
+    exact for a field with an exact tangent (see `_variational_field`) and taken
+    by central differences with per-coordinate step h * (1 + |x_a|)
+    otherwise (see `_bundle_step`).  Returns (times, dets); volume
+    preservation means dets close to one.  Raises FloatingPointError if
+    the flow or its Jacobian leaves the finite domain.
     """
-    x0 = as_points(x0)
-    if x0.ndim != 1:
-        raise ValueError("flow_jacobian_dets expects a single initial point")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    dim = x0.shape[0]
-    x = x0.copy()
-    running = 1.0
-    sample_steps = list(range(0, steps + 1, sample_every))
-    times = np.array([dt * k for k in sample_steps])
-    dets = np.empty(len(sample_steps))
-    dets[0] = 1.0
-    write = 1
-    for k in range(1, steps + 1):
-        hvec = h * (1.0 + np.abs(x))
-        bundle = np.concatenate(
-            [x[None, :], x[None, :] + np.diag(hvec), x[None, :] - np.diag(hvec)]
-        )
-        stepped = _rk4_step(field, bundle, dt)
-        if not np.isfinite(stepped).all():
-            raise FloatingPointError("flow bundle left the finite domain")
-        x = stepped[0]
-        # column b of the one-step Jacobian from the pair displaced along b
-        step_jac = (stepped[1 : 1 + dim] - stepped[1 + dim :]).T / (2.0 * hvec)
-        running *= float(np.linalg.det(step_jac))
-        if k % sample_every == 0:
-            dets[write] = running
-            write += 1
-    return times, dets[:write]
-
-
-def flow_jacobian_det(field, x0, dt: float, steps: int, h: float = 1e-5) -> float:
-    """det of the time-T flow map's Jacobian (T = steps * dt); see
-    flow_jacobian_dets for the scheme."""
-    if steps == 0:
-        return 1.0
-    _, dets = flow_jacobian_dets(field, x0, dt, steps, sample_every=steps, h=h)
-    return float(dets[-1])
+    result = _one_pass(field, x0, dt, steps, sample_every, max(steps, 1), h)
+    if result.trajectory.failed:
+        raise FloatingPointError("the flow or its Jacobian left the finite domain")
+    return result.times, result.dets
 
 
 def divergence_at(field, x, h: float = FD_STEP) -> np.ndarray:
@@ -207,12 +308,13 @@ def _field_jacobian(field, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _omega_matrix(n: int) -> np.ndarray:
-    out = np.zeros((2 * n, 2 * n))
+def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
+    """J^T W + W J, W the matrix of omega, for Jacobians J of shape (..., 2n, 2n)."""
+    W = np.zeros((2 * n, 2 * n))
     for i in range(n):
-        out[n + i, i] = 1.0
-        out[i, n + i] = -1.0
-    return out
+        W[n + i, i] = 1.0
+        W[i, n + i] = -1.0
+    return np.swapaxes(J, -1, -2) @ W + W @ J
 
 
 def lie_derivative_omega(field, x, n: Optional[int] = None, h: float = FD_STEP) -> KForm:
@@ -226,9 +328,7 @@ def lie_derivative_omega(field, x, n: Optional[int] = None, h: float = FD_STEP) 
     pts = as_points(x)
     if n is None:
         n = pts.shape[-1] // 2
-    J = _field_jacobian(field, pts, h)
-    W = _omega_matrix(n)
-    L = J.T @ W + W @ J
+    L = _lie_omega_matrix(_field_jacobian(field, pts, h), n)
     coeffs = {}
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
@@ -306,7 +406,10 @@ class FlowDiagnostics:
     `divergence_samples` is the field divergence along the trajectory;
     `energy_samples` tracks the observable named "H" when present;
     `identity_residuals` holds named residual series, e.g. the max
-    coefficient of the numeric Lie derivative of the symplectic form.
+    coefficient of the Lie derivative of the symplectic form.
+    `trajectory` is the integrated curve at its own cadence, and
+    `field_evaluations` counts the field or tangent calls that produced it
+    all.
     """
 
     times: np.ndarray
@@ -317,6 +420,8 @@ class FlowDiagnostics:
     observable_series: Dict[str, np.ndarray]
     identity_residuals: Dict[str, np.ndarray]
     failed: bool
+    trajectory: Trajectory
+    field_evaluations: int
 
     def max_volume_error(self) -> float:
         if self.volume_dets.size == 0:
@@ -345,29 +450,39 @@ class FlowDiagnostics:
 
 def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
             observables: Optional[Dict[str, ScalarField]] = None,
-            jacobian_h: float = 1e-5) -> FlowDiagnostics:
-    """Integrate and collect volume, divergence, observable, and identity series.
+            jacobian_h: float = 1e-5,
+            trajectory_every: Optional[int] = None) -> FlowDiagnostics:
+    """Integrate once and collect volume, divergence, observable, and identity series.
 
-    The observable named "H" doubles as the energy series.  The identity
-    series "lie_omega_max_abs" records the largest coefficient of the
-    numeric Lie derivative of the symplectic form at each sample; it stays
-    at zero iff the field is (numerically) symplectic.
+    The trajectory is recorded every `trajectory_every` steps (default:
+    `sample_every`) and the diagnostics every `sample_every` steps, both
+    from the same integration.  The determinants, div X = tr DX and
+    L_X omega = DX^T W + W DX are exact for a field with an exact tangent;
+    any other field gets the finite-difference bundle (step `jacobian_h`)
+    and a finite-difference DX at the samples.  The observable named "H"
+    doubles as the energy series.  The identity series "lie_omega_max_abs"
+    records the largest coefficient of L_X omega at each sample; it stays
+    at zero iff the field is symplectic.  A run that leaves the finite
+    domain returns failed=True, its trajectory cut at the last finite
+    sample, and empty diagnostic series.
     """
-    traj = integrate(field, x0, dt, steps, sample_every)
-    observables = observables or {}
-    if traj.failed:
+    every = sample_every if trajectory_every is None else trajectory_every
+    run = _one_pass(field, x0, dt, steps, sample_every, every, jacobian_h)
+    calls = run.calls
+    if run.trajectory.failed:
         empty = np.zeros(0)
-        return FlowDiagnostics(traj.times, traj.states, empty, empty, None, {}, {},
-                               True)
-    _, dets = flow_jacobian_dets(field, x0, dt, steps, sample_every, jacobian_h)
-    div = divergence_at(field, traj.states)
-    series = {name: np.asarray(f.value(traj.states), dtype=float)
+        return FlowDiagnostics(run.times, run.states, empty, empty, None, {}, {},
+                               True, run.trajectory, calls)
+    jacs = run.jacobians
+    dim = run.states.shape[-1]
+    if jacs is None:  # no exact tangent: DX by central differences at the samples
+        jacs = np.array([_field_jacobian(field, state) for state in run.states])
+        calls += 2 * dim * len(run.states)
+    div = np.trace(jacs, axis1=-2, axis2=-1)
+    lie = np.abs(_lie_omega_matrix(jacs, dim // 2)).max(axis=(-2, -1))
+    observables = observables or {}
+    series = {name: np.asarray(f.value(run.states), dtype=float)
               for name, f in observables.items()}
-    energy = series.get("H")
-    n = traj.states.shape[-1] // 2
-    lie = np.array([
-        lie_derivative_omega(field, state, n).max_abs() for state in traj.states
-    ])
     residuals = {"lie_omega_max_abs": lie}
-    return FlowDiagnostics(traj.times, traj.states, dets, div, energy, series,
-                           residuals, False)
+    return FlowDiagnostics(run.times, run.states, run.dets, div, series.get("H"),
+                           series, residuals, False, run.trajectory, calls)

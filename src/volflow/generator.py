@@ -61,6 +61,19 @@ class GeneratedField:
             )
         return out
 
+    @property
+    def exact_tangent(self) -> bool:
+        """True when `tangent` is available: the field was compiled from a
+        2-form whose components are all `Polynomial`s."""
+        return hasattr(self._eval_fn, "tangent")
+
+    def tangent(self, x) -> Tuple[np.ndarray, np.ndarray]:
+        """(X(x), DX(x)) with DX[..., a, b] = dX^a/dx^b, exact, from one
+        monomial table; the Jacobian map is compiled on the first call."""
+        if not self.exact_tangent:
+            raise TypeError(f"a {self.kind!r} field has no exact tangent")
+        return self._eval_fn.tangent(as_points(x, 2 * self.n))
+
     def at_state(self, state: PhaseState) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate at a PhaseState, returning (qdot, pdot)."""
         v = self(state)
@@ -78,8 +91,9 @@ def generate(alpha: TwoFormField) -> GeneratedField:
     """The volume-preserving field generated by the 2-form alpha.
 
     When every component is a `Polynomial`, X is a polynomial too: it is
-    compiled here, once, into a monomial basis and a coefficient matrix.
-    Any other component makes each call go through the component jet.
+    compiled here, once, into a monomial basis and a coefficient matrix,
+    and the field has an exact `tangent`.  Any other component makes each
+    call go through the component jet.
     """
     n = alpha.n
     fields = [f for _, _, _, f in alpha.components()]
@@ -130,26 +144,25 @@ def _field_terms(alpha: TwoFormField):
                     yield n + k, -1.0, f, k
 
 
-class _PolynomialField:
-    """X(x) = m(x) @ C for a polynomial field, m the monomials of one basis.
+class _MonomialMap:
+    """Y(x) = m(x) @ C, m the monomials of one basis, C one column per output.
 
-    The exact partials named by `terms` are merged into an (m, 2n) exponent
-    basis and an (m, 2n) coefficient matrix C.  A call builds the power
+    `terms` yields (column, sign, g): output `column` gains sign * g for a
+    `Polynomial` g.  The terms are merged into an (m, dim) exponent basis
+    and an (m, len(names)) coefficient matrix C.  A call builds the power
     table x_d^0..x_d^deg of each coordinate and multiplies the gathered
     powers across coordinates into the monomial table m(x).
     """
 
-    def __init__(self, n: int, terms):
-        dim = 2 * n
+    def __init__(self, dim: int, terms, names):
         exps = [np.zeros((0, dim), dtype=np.int64)]
         coeffs, cols = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
-        for a, sign, f, d in terms:
-            g = f.partial(d)
+        for col, sign, g in terms:
             exps.append(g._exps)
             coeffs.append(sign * g._coeffs)
-            cols.append(np.full(g._coeffs.shape, a))
+            cols.append(np.full(g._coeffs.shape, col))
         basis, inverse = np.unique(np.vstack(exps), axis=0, return_inverse=True)
-        C = np.zeros((basis.shape[0], dim))
+        C = np.zeros((basis.shape[0], len(names)))
         np.add.at(C, (inverse.ravel(), np.concatenate(cols)), np.concatenate(coeffs))
         keep = np.any(C != 0.0, axis=1)  # drop monomials whose terms all cancelled
         self.C = C[keep]
@@ -159,7 +172,7 @@ class _PolynomialField:
         # coordinate d that some monomial uses
         used = np.flatnonzero(np.any(basis > 0, axis=0))
         self.gather = basis[:, used] * dim + used
-        self.names = [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
+        self.names = names
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         powers = [np.ones_like(pts)]
@@ -172,6 +185,40 @@ class _PolynomialField:
         if not finite.all():
             raise FieldEvaluationError(self.names[np.argwhere(~finite)[0, -1]])
         return out
+
+
+class _PolynomialField(_MonomialMap):
+    """X(x) = m(x) @ C_X for a polynomial field, from the exact partials
+    named by `terms`.
+
+    `tangent` evaluates [X | DX] = m(x) @ [C_X | C_DX] from one table, with
+    C_DX built from the second partials; that wider map is compiled on the
+    first `tangent` call, so fields that are only evaluated never pay for it.
+    """
+
+    def __init__(self, n: int, terms):
+        dim = 2 * n
+        self.coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
+        names = [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
+        # X^a gains sign * g for each first partial g of a component
+        self.partials = [(a, sign, f.partial(d)) for a, sign, f, d in terms]
+        super().__init__(dim, self.partials, names)
+        self._tangent_map = None
+
+    def tangent_map(self) -> _MonomialMap:
+        """The compiled [X | DX] map; column dim + a * dim + b is dX^a/dx^b."""
+        if self._tangent_map is None:
+            dim = len(self.names)
+            second = [(dim + a * dim + b, sign, g.partial(b))
+                      for a, sign, g in self.partials for b in range(dim)]
+            names = self.names + [f"d{x}/d{c}" for x in self.names for c in self.coords]
+            self._tangent_map = _MonomialMap(dim, self.partials + second, names)
+        return self._tangent_map
+
+    def tangent(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        dim = len(self.names)
+        out = self.tangent_map()(pts)
+        return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
 
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:

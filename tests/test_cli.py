@@ -89,6 +89,8 @@ def test_simulate_coupled_diagnostics(tmp_path):
     assert diag["symplectic"] is False
     assert diag["lie_omega_max_abs"] > 0.4
     assert diag["energy_drift"] > 1e-4
+    # one integration: four tangent calls per step, plus one at x0
+    assert 4 * 200 <= diag["field_evaluations"] <= 4 * 200 + 1
 
 
 def test_simulate_random_alpha_seed_env(tmp_path, monkeypatch):
@@ -195,6 +197,13 @@ def test_check_zero_trials_empty_report(tmp_path):
 
 def test_check_usage_errors(capsys):
     assert main(["check", "--n", "9"]) == 2
+    # no n-dependent suite supports n = 1, so it is refused rather than skipped
+    for n in ("1", "1,2"):
+        capsys.readouterr()
+        assert main(["check", "--n", n, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "pass" not in captured.out
     assert main(["check", "--n", "abc"]) == 2
     assert main(["check", "--trials", "-1"]) == 2
     assert main(["check", "--horizon", "-2"]) == 2

@@ -10,7 +10,6 @@ from volflow import (
     TwoFormField,
     check_dotf,
     divergence_at,
-    flow_jacobian_det,
     flow_jacobian_dets,
     generate,
     gradient_one_form,
@@ -25,7 +24,13 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow.systems import coupled_oscillators, drift_system, harmonic_oscillator
+from volflow.dynamics import _bundle_step, _tangent_step, _variational_field
+from volflow.systems import (
+    coupled_oscillators,
+    drift_system,
+    harmonic_oscillator,
+    random_alpha_system,
+)
 
 
 def _zero_field(n=2):
@@ -111,16 +116,20 @@ def test_integrate_validates_arguments():
 # ------------------------------------------------------------ volume jacobians
 
 
+def _final_det(field, x0, dt, steps):
+    return flow_jacobian_dets(field, x0, dt=dt, steps=steps)[1][-1]
+
+
 def test_flow_det_zero_field_is_exactly_one_at_origin():
-    assert flow_jacobian_det(_zero_field(), np.zeros(4), dt=0.1, steps=5) == 1.0
+    assert _final_det(_zero_field(), np.zeros(4), dt=0.1, steps=5) == 1.0
 
 
 def test_flow_det_steps_zero_is_one():
-    assert flow_jacobian_det(_zero_field(), np.ones(4), dt=0.1, steps=0) == 1.0
+    assert _final_det(_zero_field(), np.ones(4), dt=0.1, steps=0) == 1.0
 
 
 def test_flow_det_rotation_is_one():
-    det = flow_jacobian_det(_rotation_field(), np.array([1.0, 0.3]), dt=1e-2, steps=628)
+    det = _final_det(_rotation_field(), np.array([1.0, 0.3]), dt=1e-2, steps=628)
     assert abs(det - 1.0) < 1e-9
 
 
@@ -130,7 +139,7 @@ def test_flow_det_of_linear_contraction():
         return -pts
     field = GeneratedField(1, eval_fn, kind="test")
     t = 0.5
-    det = flow_jacobian_det(field, np.array([1.0, 1.0]), dt=1e-3, steps=500)
+    det = _final_det(field, np.array([1.0, 1.0]), dt=1e-3, steps=500)
     assert det == pytest.approx(np.exp(-2 * t), rel=1e-6)
 
 
@@ -141,6 +150,27 @@ def test_flow_dets_series_for_coupled_system():
     assert times.shape == dets.shape == (6,)
     assert dets[0] == 1.0
     assert np.max(np.abs(dets - 1.0)) < 1e-8
+
+
+def test_tangent_step_jacobian_matches_bundle():
+    rng = np.random.default_rng(21)
+    for n, seed in [(2, 1), (3, 2), (4, 3)]:
+        X = random_alpha_system(n=n, seed=seed).field
+        for _ in range(3):
+            x = 0.5 * rng.normal(size=2 * n)
+            exact_x, exact_S = _tangent_step(_variational_field(X), x, 1e-2)
+            fd_x, fd_S = _bundle_step(X, x, 1e-2, 1e-5)
+            assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
+            assert np.max(np.abs(exact_S - fd_S) / (1.0 + np.abs(fd_S))) <= 1e-7
+
+
+def test_flow_dets_exact_for_coupled_system():
+    sys = coupled_oscillators()
+    assert sys.field.exact_tangent
+    times, dets = flow_jacobian_dets(sys.field, sys.default_x0, dt=1e-3,
+                                     steps=2000, sample_every=100)
+    assert times.shape == dets.shape == (21,)
+    assert np.max(np.abs(dets - 1.0)) <= 1e-12
 
 
 def test_flow_dets_raise_on_blowup():
@@ -335,3 +365,43 @@ def test_monitor_failed_run():
     field = GeneratedField(1, eval_fn, kind="test")
     diag = monitor(field, np.array([0.0, 1.0]), dt=0.5, steps=100, sample_every=10)
     assert diag.failed
+
+
+def test_monitor_reports_bundle_overflow():
+    # the centre path stays finite (q = 0, p grows by dt per step), but the
+    # rows displaced in q overflow exp(1e8 q) at the first step
+    def eval_fn(pts):
+        return np.stack([np.zeros(pts.shape[:-1]), np.exp(1e8 * pts[..., 0])], axis=-1)
+    field = GeneratedField(1, eval_fn, kind="test")
+    x0 = np.zeros(2)
+    assert not integrate(field, x0, dt=0.1, steps=10).failed
+    diag = monitor(field, x0, dt=0.1, steps=10, sample_every=5)
+    assert diag.failed
+    assert diag.trajectory.failed
+    assert diag.trajectory.last_valid_index == 0
+    assert np.array_equal(diag.trajectory.states, x0[None, :])
+    assert np.array_equal(diag.trajectory.times, [0.0])
+
+
+@pytest.mark.parametrize("sys", [coupled_oscillators(), random_alpha_system(3, 2)],
+                         ids=["coupled", "random-n3"])
+def test_monitor_trajectory_is_integrate(sys):
+    x0 = sys.default_x0
+    diag = monitor(sys.field, x0, dt=1e-3, steps=1000, sample_every=250,
+                   trajectory_every=10)
+    traj = integrate(sys.field, x0, dt=1e-3, steps=1000, sample_every=10)
+    assert not diag.failed and not diag.trajectory.failed
+    assert np.array_equal(diag.trajectory.times, traj.times)
+    err = np.abs(diag.trajectory.states - traj.states) / (1.0 + np.abs(traj.states))
+    assert np.max(err) <= 1e-14
+    assert np.array_equal(diag.states, diag.trajectory.states[::25])
+    # four tangent calls per step plus one at x0
+    assert diag.field_evaluations == 4 * 1000 + 1
+
+
+def test_monitor_exact_lie_and_divergence_for_coupled_system():
+    sys = coupled_oscillators()
+    diag = monitor(sys.field, sys.default_x0, dt=1e-3, steps=2000, sample_every=500)
+    assert np.all(diag.divergence_samples == 0.0)
+    assert np.max(np.abs(diag.identity_residuals["lie_omega_max_abs"] - 0.5)) <= 1e-12
+    assert diag.max_volume_error() <= 1e-12

@@ -19,6 +19,7 @@ from volflow import (
     hamiltonian_field,
     hamiltonian_two_form,
     integrate,
+    monitor,
     nu_k,
     poly_variables,
     random_two_form,
@@ -27,6 +28,7 @@ from volflow import (
     omega_power,
     d_at_point,
 )
+from volflow.dynamics import _field_jacobian
 
 
 def _witness_alpha():
@@ -172,6 +174,74 @@ def test_compiled_field_overflow_is_reported():
             X(x)
     assert info.value.component == "pdot2"
     assert integrate(X, x, 1e-3, 5).failed
+
+
+# ------------------------------------------------------------ the exact tangent
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tangent_matches_finite_differences(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        X = generate(random_two_form(n, rng))
+        assert X.exact_tangent
+        for shape in [(), (4,)]:
+            x = 0.5 * rng.normal(size=shape + (2 * n,))
+            value, jac = X.tangent(x)
+            assert jac.shape == shape + (2 * n, 2 * n)
+            want = X(x)
+            assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= 1e-13
+            for i in np.ndindex(shape):
+                fd = _field_jacobian(X, x[i])
+                assert np.max(np.abs(jac[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
+
+
+def test_tangent_is_compiled_on_first_use():
+    X = generate(random_two_form(2, np.random.default_rng(3)))
+    assert X._eval_fn._tangent_map is None  # generate pays only for X
+    X(np.zeros(4))
+    assert X._eval_fn._tangent_map is None
+    X.tangent(np.zeros(4))
+    compiled = X._eval_fn._tangent_map
+    assert compiled is not None and compiled.C.shape[1] == 4 + 16
+    X.tangent(np.ones(4))
+    assert X._eval_fn._tangent_map is compiled
+
+
+def test_exact_divergence_certificate():
+    # div X = sum_a dX^a/dx^a is identically zero: every coefficient of the
+    # compiled polynomial vanishes to roundoff
+    rng = np.random.default_rng(61)
+    worst = 0.0
+    for trial in range(200):
+        n = 2 + trial % 3
+        dim = 2 * n
+        compiled = generate(random_two_form(n, rng))._eval_fn.tangent_map()
+        diagonal = [dim + a * dim + a for a in range(dim)]
+        worst = max(worst, float(np.max(np.abs(compiled.C[:, diagonal].sum(axis=1)),
+                                        initial=0.0)))
+    assert worst <= 1e-14
+
+
+def test_non_polynomial_fields_have_no_exact_tangent():
+    q, p = poly_variables(2)
+    wavy = ScalarField(lambda x: np.sin(x[..., 0]))
+    X = generate(TwoFormField(2, A={(0, 1): wavy, (1, 1): p[0] * q[1]}))
+    H = hamiltonian_field(p[0] * p[0], 2)
+    for field in (X, H, generate(_witness_alpha()) + generate(_witness_alpha())):
+        assert not field.exact_tangent
+        with pytest.raises(TypeError):
+            field.tangent(np.zeros(4))
+
+
+def test_tangent_overflow_names_the_entry():
+    huge = Polynomial(4, {(8, 0, 0, 0): 1e300})
+    X = generate(TwoFormField(2, A={(0, 1): huge}))  # pdot_2 = 8e300 (q^1)^7
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FieldEvaluationError) as info:
+            X.tangent(np.array([1e5, 0.0, 0.0, 0.0]))
+    assert info.value.component == "pdot2"
+    assert monitor(X, np.array([1e5, 0.0, 0.0, 0.0]), 1e-3, 5).failed
 
 
 # -------------------------------------------------------------- field mechanics
