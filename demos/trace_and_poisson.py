@@ -21,7 +21,7 @@ from volflow import (
     poisson_bracket,
     poisson_trace_residual,
     poly_variables,
-    trace,
+    trace_field,
     trace_of,
     two_form_from_components,
     wedge,
@@ -45,7 +45,7 @@ for _ in range(20):
     x = rng.normal(size=2 * n)
     jet = alpha.jet_at(x)
     form = two_form_from_components(jet.Q, jet.A, jet.P)
-    worst = max(worst, abs(trace(alpha, x) - trace_of(form, n)))
+    worst = max(worst, abs(trace_field(alpha).value(x) - trace_of(form, n)))
 print(f"   max |A^i_i - wedge ratio| over 20 points: {worst:.3e}")
 
 print("\n2. observable derivative along the generated flow")

@@ -41,7 +41,6 @@ from .forms import (
     hamiltonian_two_form,
     linear_system_two_form,
     poly_variables,
-    trace,
     trace_field,
     traceless_part,
 )

@@ -1,8 +1,11 @@
 """Flow integration and flow-level diagnostics.
 
-Integration is classical fixed-step RK4, batched over leading axes so that
-displaced-initial-condition bundles (used for flow Jacobians) cost one
-integration.  Diagnostics quantify what the generated fields promise:
+Integration is classical fixed-step RK4, batched over leading axes.  Flow
+Jacobians are exact for a field with an exact tangent (a compiled
+polynomial field): each step carries the RK4 tangent map, from the
+compiled [X | DX] map.  Any other field steps a bundle of displaced initial
+conditions and takes central differences.  Diagnostics quantify what the
+generated fields promise:
 vanishing divergence, unit flow-Jacobian determinant, the Lie derivative
 of the symplectic form, and the observable-derivative identity relating
 df/dt along the flow to an exterior product.
@@ -73,11 +76,9 @@ class Trajectory:
         return self.states[..., self.n :]
 
 
-def _rk4_step(field: Callable, x: np.ndarray, dt: float,
-              k1: Optional[np.ndarray] = None) -> np.ndarray:
-    """One RK4 step from x; k1 = field(x) may be passed in when known."""
-    if k1 is None:
-        k1 = field(x)
+def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step from x."""
+    k1 = field(x)
     k2 = field(x + 0.5 * dt * k1)
     k3 = field(x + 0.5 * dt * k2)
     k4 = field(x + dt * k3)
@@ -135,35 +136,25 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     return Trajectory(times, states, dt=dt, field=field)
 
 
-def _variational_field(field: GeneratedField) -> GeneratedField:
-    """The field (X(x), DX(x) V) on pairs (x, V), V a 2n x 2n matrix stored
-    flat after x.
+def _tangent_step(tangent: Callable, x: np.ndarray, dt: float, X1: np.ndarray,
+                  DX1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One RK4 step from x and its exact Jacobian S.
 
-    This is the variational equation.  One RK4 step of it from (x, I)
-    gives the RK4 step of x together with that step's exact Jacobian S:
-    its stages are dk_1 = DX(x), dk_2 = DX(y_2)(I + dt/2 dk_1),
-    dk_3 = DX(y_3)(I + dt/2 dk_2) and dk_4 = DX(y_4)(I + dt dk_3), and
-    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).  Each evaluation is one
-    `tangent` call of the field, so X and DX come from one monomial table.
+    `tangent(y)` returns (X(y), DX(y)) at one point, and X1, DX1 are their
+    values at x.  The stages are those of RK4 on the variational equation
+    (x, V)' = (X(x), DX(x) V) from (x, I): dk_1 = DX(x),
+    dk_2 = DX(y_2)(I + dt/2 dk_1), dk_3 = DX(y_3)(I + dt/2 dk_2),
+    dk_4 = DX(y_4)(I + dt dk_3), and S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
     """
-    n, dim = field.n, 2 * field.n
-
-    def eval_fn(pts):
-        batch = pts.shape[:-1]
-        X, DX = field.tangent(pts[..., :dim])
-        DXV = DX @ pts[..., dim:].reshape(batch + (dim, dim))
-        return np.concatenate([X, DXV.reshape(batch + (dim * dim,))], axis=-1)
-
-    return GeneratedField(n + 2 * n * n, eval_fn, "variational", field)
-
-
-def _tangent_step(variational: GeneratedField, x: np.ndarray, dt: float,
-                  k1: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """One RK4 step from x and its exact Jacobian S, by stepping the
-    variational field from (x, I); k1 is its value at (x, I) when known."""
-    dim = x.shape[0]
-    stepped = _rk4_step(variational, np.concatenate([x, np.eye(dim).ravel()]), dt, k1)
-    return stepped[:dim], stepped[dim:].reshape(dim, dim)
+    eye = np.eye(x.shape[0])
+    X2, DX2 = tangent(x + 0.5 * dt * X1)
+    dk2 = DX2 @ (eye + 0.5 * dt * DX1)
+    X3, DX3 = tangent(x + 0.5 * dt * X2)
+    dk3 = DX3 @ (eye + 0.5 * dt * dk2)
+    X4, DX4 = tangent(x + dt * X3)
+    dk4 = DX4 @ (eye + dt * dk3)
+    return (x + (dt / 6.0) * (X1 + 2.0 * X2 + 2.0 * X3 + X4),
+            eye + (dt / 6.0) * (DX1 + 2.0 * dk2 + 2.0 * dk3 + dk4))
 
 
 def _bundle_step(field, x: np.ndarray, dt: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,8 +203,11 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     dim = x.shape[0]
     exact = isinstance(field, GeneratedField) and field.exact_tangent
     if exact:
-        variational = _variational_field(field)
-        eye = np.eye(dim).ravel()
+        tangent_map = field.tangent_map()
+
+        def tangent(y):
+            out = tangent_map(y)
+            return out[:dim], out[dim:].reshape(dim, dim)
     traj_times = _sample_times(dt, steps, trajectory_every)
     times = _sample_times(dt, steps, sample_every)
     traj = np.empty((traj_times.size, dim))
@@ -227,13 +221,13 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     failed = False
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            if exact:  # the first stage at x0; its tangent part is DX(x0)
-                k1 = variational(np.concatenate([x, eye]))
-                jacs[0] = k1[dim:].reshape(dim, dim)
+            if exact:  # the first stage at x0
+                X1, DX1 = tangent(x)
+                jacs[0] = DX1
                 calls = 1
             for k in range(1, steps + 1):
                 if exact:
-                    x, S = _tangent_step(variational, x, dt, k1)
+                    x, S = _tangent_step(tangent, x, dt, X1, DX1)
                 else:
                     x, S = _bundle_step(field, x, dt, h)
                 if not (np.isfinite(x).all() and np.isfinite(S).all()):
@@ -244,13 +238,13 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
                     traj[n_traj] = x
                     n_traj += 1
                 if exact:  # the next step's first stage, and DX at x
-                    k1 = variational(np.concatenate([x, eye]))
+                    X1, DX1 = tangent(x)
                 calls += 4
                 if k % sample_every == 0:
                     states[n_samples] = x
                     dets[n_samples] = running
                     if exact:
-                        jacs[n_samples] = k1[dim:].reshape(dim, dim)
+                        jacs[n_samples] = DX1
                     n_samples += 1
         except (FieldEvaluationError, FloatingPointError, OverflowError):
             failed = True
@@ -267,7 +261,7 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
 
     Chain rule: the determinant over [0, T] is the product of one-step
     determinants det dPhi_dt(x_k) along the trajectory.  Each factor is
-    exact for a field with an exact tangent (see `_variational_field`) and taken
+    exact for a field with an exact tangent (see `_tangent_step`) and taken
     by central differences with per-coordinate step h * (1 + |x_a|)
     otherwise (see `_bundle_step`).  Returns (times, dets); volume
     preservation means dets close to one.  Raises FloatingPointError if

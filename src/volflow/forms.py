@@ -32,7 +32,6 @@ __all__ = [
     "TwoFormField",
     "hamiltonian_two_form",
     "linear_system_two_form",
-    "trace",
     "trace_field",
     "traceless_part",
     "gauge_shift",
@@ -217,6 +216,7 @@ class Polynomial(ScalarField):
             raise ValueError("exponents must be non-negative")
         self._exps, self._coeffs = _normalize_terms(exps, coeffs, dim)
         self._partials: Dict[int, "Polynomial"] = {}
+        self._gradient_terms = None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -229,10 +229,18 @@ class Polynomial(ScalarField):
 
     def gradient(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
-        out = np.empty(pts.shape)
-        for i in range(self.dim):
-            out[..., i] = self.partial(i).value(pts)
-        return out
+        if self._gradient_terms is None:
+            # every first partial's terms on one exponent basis, and an
+            # (m, dim) coefficient matrix whose column i is d/dx^i
+            parts = [self.partial(i) for i in range(self.dim)]
+            basis, inverse = np.unique(np.vstack([f._exps for f in parts]), axis=0,
+                                       return_inverse=True)
+            G = np.zeros((basis.shape[0], self.dim))
+            cols = np.repeat(np.arange(self.dim), [f._coeffs.size for f in parts])
+            G[inverse.ravel(), cols] = np.concatenate([f._coeffs for f in parts])
+            self._gradient_terms = basis, G
+        exps, G = self._gradient_terms
+        return np.prod(pts[..., None, :] ** exps, axis=-1) @ G
 
     def partial(self, i: int) -> "Polynomial":
         if not 0 <= i < self.dim:
@@ -245,7 +253,8 @@ class Polynomial(ScalarField):
             # Lowering one exponent of every kept row leaves the rows distinct,
             # lexically sorted and with nonzero coefficients: already normal.
             out = Polynomial.__new__(Polynomial)
-            out.dim, out._exps, out._coeffs, out._partials = self.dim, exps, coeffs, {}
+            out.dim, out._exps, out._coeffs = self.dim, exps, coeffs
+            out._partials, out._gradient_terms = {}, None
             self._partials[i] = out
         return self._partials[i]
 
@@ -534,19 +543,9 @@ def linear_system_two_form(spec) -> TwoFormField:
     return base + TwoFormField(n, Q=Q)
 
 
-def trace(alpha: TwoFormField, x):
-    """tr(alpha) = A^i_i at x, the coefficient pairing alpha with omega^{n-1}."""
-    pts = as_points(x, 2 * alpha.n)
-    total = np.zeros(pts.shape[:-1])
-    for i in range(alpha.n):
-        f = alpha.A_entry(i, i)
-        if f is not None:
-            total = total + f.value(pts)
-    return float(total) if total.ndim == 0 else total
-
-
 def trace_field(alpha: TwoFormField) -> ScalarField:
-    """tr(alpha) as a scalar field (sum of the diagonal A components)."""
+    """tr(alpha) = A^i_i as a scalar field, the coefficient pairing alpha
+    with omega^{n-1}; its value at x is `trace_field(alpha).value(x)`."""
     diag = [alpha.A_entry(i, i) for i in range(alpha.n)]
     diag = [f for f in diag if f is not None]
     if not diag:

@@ -63,16 +63,23 @@ class GeneratedField:
 
     @property
     def exact_tangent(self) -> bool:
-        """True when `tangent` is available: the field was compiled from a
-        2-form whose components are all `Polynomial`s."""
-        return hasattr(self._eval_fn, "tangent")
+        """True when `tangent` is available: the field was compiled from
+        `Polynomial`s (a 2-form's components, or a Hamiltonian)."""
+        return hasattr(self._eval_fn, "tangent_map")
+
+    def tangent_map(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The compiled map x -> [X | DX] on (..., 2n) points, column
+        2n + 2n a + b holding dX^a/dx^b; compiled on the first call."""
+        if not self.exact_tangent:
+            raise TypeError(f"a {self.kind!r} field has no exact tangent")
+        return self._eval_fn.tangent_map()
 
     def tangent(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """(X(x), DX(x)) with DX[..., a, b] = dX^a/dx^b, exact, from one
-        monomial table; the Jacobian map is compiled on the first call."""
-        if not self.exact_tangent:
-            raise TypeError(f"a {self.kind!r} field has no exact tangent")
-        return self._eval_fn.tangent(as_points(x, 2 * self.n))
+        monomial table."""
+        pts = as_points(x, 2 * self.n)
+        out, dim = self.tangent_map()(pts), 2 * self.n
+        return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
 
     def at_state(self, state: PhaseState) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate at a PhaseState, returning (qdot, pdot)."""
@@ -179,21 +186,22 @@ class _MonomialMap:
         for _ in range(self.deg):
             powers.append(powers[-1] * pts)
         table = np.concatenate(powers, axis=-1)
-        monos = np.prod(table[..., self.gather], axis=-1)
+        # one point gathers through numpy's much cheaper 1-d indexing; the
+        # gathered factors, the widest array, are freed once multiplied
+        monos = (table[self.gather] if table.ndim == 1 else table[..., self.gather]).prod(-1)
         out = monos @ self.C
-        finite = np.isfinite(out)
-        if not finite.all():
-            raise FieldEvaluationError(self.names[np.argwhere(~finite)[0, -1]])
+        if not np.isfinite(out).all():
+            raise FieldEvaluationError(self.names[np.argwhere(~np.isfinite(out))[0, -1]])
         return out
 
 
 class _PolynomialField(_MonomialMap):
     """X(x) = m(x) @ C_X for a polynomial field, from the exact partials
-    named by `terms`.
+    named by `terms`: each (a, sign, f, d) adds sign * df/dx^d to X^a.
 
-    `tangent` evaluates [X | DX] = m(x) @ [C_X | C_DX] from one table, with
-    C_DX built from the second partials; that wider map is compiled on the
-    first `tangent` call, so fields that are only evaluated never pay for it.
+    `tangent_map` evaluates [X | DX] = m(x) @ [C_X | C_DX] from one table,
+    with C_DX built from the second partials; that wider map is compiled on
+    its first use, so fields that are only evaluated never pay for it.
     """
 
     def __init__(self, n: int, terms):
@@ -215,14 +223,16 @@ class _PolynomialField(_MonomialMap):
             self._tangent_map = _MonomialMap(dim, self.partials + second, names)
         return self._tangent_map
 
-    def tangent(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        dim = len(self.names)
-        out = self.tangent_map()(pts)
-        return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
-
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:
-    """The Hamiltonian field qdot^i = dH/dp_i, pdot_i = -dH/dq^i."""
+    """The Hamiltonian field qdot^i = dH/dp_i, pdot_i = -dH/dq^i.
+
+    A `Polynomial` H is compiled like a polynomial 2-form, so the field
+    has an exact `tangent`; any other H is differentiated at every call.
+    """
+    if isinstance(H, Polynomial) and H.dim == 2 * n:
+        terms = [t for i in range(n) for t in ((i, 1.0, H, n + i), (n + i, -1.0, H, i))]
+        return GeneratedField(n, _PolynomialField(n, terms), "hamiltonian", H)
 
     def eval_fn(pts):
         g = H.gradient(pts)

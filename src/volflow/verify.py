@@ -23,7 +23,7 @@ from .exterior import (
     two_form_from_components,
     wedge,
 )
-from .forms import Polynomial, TwoFormField, hamiltonian_two_form, gauge_shift, trace
+from .forms import Polynomial, TwoFormField, hamiltonian_two_form, gauge_shift, trace_field
 from .generator import (
     decompose,
     feng_shang_field,
@@ -266,7 +266,7 @@ def check_trace_closed_form(n_list=(2, 3), trials: int = 100,
             x = rng.standard_normal(2 * n)
             jet = alpha.jet_at(x)
             form = two_form_from_components(jet.Q, jet.A, jet.P)
-            worst = max(worst, abs(trace(alpha, x) - trace_of(form, n)))
+            worst = max(worst, abs(trace_field(alpha).value(x) - trace_of(form, n)))
     return _result("trace_closed_form", worst)
 
 

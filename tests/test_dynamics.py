@@ -24,7 +24,7 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow.dynamics import _bundle_step, _tangent_step, _variational_field
+from volflow.dynamics import _bundle_step, _tangent_step
 from volflow.systems import (
     coupled_oscillators,
     drift_system,
@@ -158,10 +158,35 @@ def test_tangent_step_jacobian_matches_bundle():
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            exact_x, exact_S = _tangent_step(_variational_field(X), x, 1e-2)
+            exact_x, exact_S = _tangent_step(X.tangent, x, 1e-2, *X.tangent(x))
             fd_x, fd_S = _bundle_step(X, x, 1e-2, 1e-5)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
             assert np.max(np.abs(exact_S - fd_S) / (1.0 + np.abs(fd_S))) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tangent_step_is_rk4_of_the_variational_equation(n):
+    # one classical RK4 step of (x, V)' = (X(x), DX(x) V) from (x, I), written
+    # out on the flat state through the public tangent only
+    X = random_alpha_system(n=n, seed=n).field
+    dim, dt = 2 * n, 1e-2
+
+    def variational(z):
+        value, jac = X.tangent(z[:dim])
+        return np.concatenate([value, (jac @ z[dim:].reshape(dim, dim)).ravel()])
+
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        x = 0.5 * rng.normal(size=dim)
+        z = np.concatenate([x, np.eye(dim).ravel()])
+        k1 = variational(z)
+        k2 = variational(z + 0.5 * dt * k1)
+        k3 = variational(z + 0.5 * dt * k2)
+        k4 = variational(z + dt * k3)
+        want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got_x, got_S = _tangent_step(X.tangent, x, dt, *X.tangent(x))
+        got = np.concatenate([got_x, got_S.ravel()])
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
 
 
 def test_flow_dets_exact_for_coupled_system():
@@ -397,6 +422,20 @@ def test_monitor_trajectory_is_integrate(sys):
     assert np.array_equal(diag.states, diag.trajectory.states[::25])
     # four tangent calls per step plus one at x0
     assert diag.field_evaluations == 4 * 1000 + 1
+
+
+def test_monitor_exact_for_polynomial_hamiltonian():
+    q, p = poly_variables(2)
+    H = (p[0] * p[0] + p[1] * p[1]) * 0.5 + (q[0] ** 4 + q[1] ** 4) * 0.25 + q[0] * q[1] * 0.1
+    X = hamiltonian_field(H, 2)
+    assert X.exact_tangent
+    diag = monitor(X, np.array([1.0, -0.5, 0.0, 0.3]), dt=1e-3, steps=2000,
+                   sample_every=500, observables={"H": H})
+    assert diag.field_evaluations == 4 * 2000 + 1
+    assert diag.max_volume_error() <= 1e-12
+    assert diag.max_divergence() <= 1e-14
+    assert diag.max_lie_omega() <= 1e-12
+    assert diag.max_energy_drift() < 1e-9
 
 
 def test_monitor_exact_lie_and_divergence_for_coupled_system():

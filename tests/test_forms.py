@@ -17,11 +17,11 @@ from volflow import (
     gauge_shift,
     hamiltonian_two_form,
     poly_variables,
-    trace,
     trace_field,
     traceless_part,
 )
 from volflow.forms import as_points
+from volflow.systems import random_polynomial
 
 
 # ------------------------------------------------------------------ PhaseState
@@ -71,6 +71,24 @@ def test_polynomial_batched_value_shape():
     assert f.value(pts).shape == (5, 3)
     assert np.all(f.value(pts) == 7.0)
     assert f.gradient(pts).shape == (5, 3, 4)
+
+
+def test_polynomial_gradient_is_its_partials():
+    # one monomial table for all partials: each entry equals the partial's
+    # own value up to the rounding of its sum of terms
+    rng = np.random.default_rng(13)
+    polys = [Polynomial.zero(4), Polynomial.constant(4, 2.5)]
+    polys += [random_polynomial(dim, rng) for dim in (2, 4, 6, 8) for _ in range(5)]
+    for f in polys:
+        for shape in [(), (5,), (2, 3)]:
+            x = rng.normal(size=shape + (f.dim,))
+            got = f.gradient(x)
+            assert got.shape == x.shape
+            for i in range(f.dim):
+                g = f.partial(i)
+                terms = np.prod(x[..., None, :] ** g._exps, axis=-1) * g._coeffs
+                magnitude = np.abs(terms).sum(axis=-1)
+                assert np.all(np.abs(got[..., i] - g.value(x)) <= 1e-15 * magnitude)
 
 
 def test_polynomial_normalization_merges_terms():
@@ -191,7 +209,7 @@ def test_two_form_arithmetic():
     double = alpha + alpha
     assert double.Q_entry(0, 1).value(x) == pytest.approx(2 * alpha.Q_entry(0, 1).value(x))
     zero = alpha - alpha
-    assert trace(zero, x) == pytest.approx(0.0)
+    assert trace_field(zero).value(x) == pytest.approx(0.0)
     neg = -alpha
     assert neg.A_entry(1, 1).value(x) == pytest.approx(-alpha.A_entry(1, 1).value(x))
     scaled = alpha * 3.0
@@ -285,17 +303,17 @@ def test_hamiltonian_two_form_layout():
     for i in range(3):
         assert alpha.A_entry(i, i).value(x) == pytest.approx(hval / 2.0)
     assert alpha.Q_entry(0, 1) is None and alpha.P_entry(0, 1) is None
-    assert trace(alpha, x) == pytest.approx(3.0 * hval / 2.0)
+    assert trace_field(alpha).value(x) == pytest.approx(3.0 * hval / 2.0)
     with pytest.raises(ValueError):
         hamiltonian_two_form(H, 1)
     with pytest.raises(TypeError):
         hamiltonian_two_form(lambda x: x, 2)
 
 
-def test_trace_and_trace_field():
+def test_trace_field_value_and_gradient():
     alpha = _poly_alpha()
     x = np.array([1.0, 2.0, 0.5, -0.3])
-    assert trace(alpha, x) == pytest.approx(0.5**2)  # only A (1,1) is diagonal
+    assert trace_field(alpha).value(x) == pytest.approx(0.5**2)  # only A (1,1) is diagonal
     tf = trace_field(alpha)
     pts = np.array([x, 2 * x])
     assert np.allclose(tf.value(pts), [0.25, 1.0])
@@ -309,11 +327,13 @@ def test_traceless_part_trace_identity():
     rng = np.random.default_rng(8)
     for _ in range(4):
         x = rng.normal(size=4)
-        assert trace(rest, x) == pytest.approx(-trace(alpha, x), abs=1e-12)
+        assert trace_field(rest).value(x) == pytest.approx(-trace_field(alpha).value(x),
+                                                           abs=1e-12)
     beta = _poly_alpha(3)
     rest3 = traceless_part(beta)
     x6 = rng.normal(size=6)
-    assert trace(rest3, x6) == pytest.approx(-trace(beta, x6) / 2.0, abs=1e-12)
+    assert trace_field(rest3).value(x6) == pytest.approx(-trace_field(beta).value(x6) / 2.0,
+                                                         abs=1e-12)
 
 
 # ----------------------------------------------------------------- gauge shift

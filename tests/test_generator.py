@@ -1,5 +1,7 @@
 """Vector-field generation from 2-forms and the block-tensor route."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,8 @@ from volflow import (
     d_at_point,
 )
 from volflow.dynamics import _field_jacobian
+from volflow.generator import _MonomialMap
+from volflow.systems import random_polynomial
 
 
 def _witness_alpha():
@@ -227,11 +231,50 @@ def test_non_polynomial_fields_have_no_exact_tangent():
     q, p = poly_variables(2)
     wavy = ScalarField(lambda x: np.sin(x[..., 0]))
     X = generate(TwoFormField(2, A={(0, 1): wavy, (1, 1): p[0] * q[1]}))
-    H = hamiltonian_field(p[0] * p[0], 2)
+    H = hamiltonian_field(wavy + p[0] * p[0], 2)
     for field in (X, H, generate(_witness_alpha()) + generate(_witness_alpha())):
         assert not field.exact_tangent
         with pytest.raises(TypeError):
             field.tangent(np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamiltonian_field_of_a_polynomial_has_exact_tangent(n):
+    rng = np.random.default_rng(70 + n)
+    for _ in range(3):
+        H = random_polynomial(2 * n, rng)
+        X = hamiltonian_field(H, n)
+        assert X.exact_tangent and X.kind == "hamiltonian"
+        x = rng.normal(size=(5, 2 * n))
+        g = H.gradient(x)
+        want = np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
+        value, jac = X.tangent(x)
+        assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= 1e-13
+        assert np.max(np.abs(X(x) - want) / (1.0 + np.abs(want))) <= 1e-13
+        for i in range(5):
+            fd = _field_jacobian(X, x[i])
+            assert np.max(np.abs(jac[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
+        assert np.max(np.abs(np.trace(jac, axis1=-2, axis2=-1))) <= 1e-14
+
+
+def test_monomial_map_finite_check():
+    one = Polynomial.constant(2, 1.0)
+    q, p = Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)
+    # columns a and b are finite at 1e308 each, so their sum overflows
+    big = _MonomialMap(2, [(0, 1.0, one * 1e308), (1, 1.0, one * 1e308), (2, 1.0, q)],
+                       ["a", "b", "c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(big(np.array([2.0, 0.0])), [1e308, 1e308, 2.0])
+    # column b is 1e308 (q - p): +inf, then -inf; a NaN coordinate makes
+    # every column NaN, so the first is named
+    bad = _MonomialMap(2, [(0, 1.0, one), (1, 1.0, (q - p) * 1e308), (2, 1.0, one)],
+                       ["a", "b", "c"])
+    for x, name in (([10.0, 0.0], "b"), ([0.0, 10.0], "b"), ([np.nan, 0.0], "a")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FieldEvaluationError) as info:
+                bad(np.array(x))
+        assert info.value.component == name
 
 
 def test_tangent_overflow_names_the_entry():

@@ -20,7 +20,7 @@ from volflow import (
     random_alpha_system,
     random_one_form,
     random_two_form,
-    trace,
+    trace_field,
     zero_system,
 )
 from volflow.systems import SYSTEM_BUILDERS, random_polynomial
@@ -203,7 +203,7 @@ def test_random_two_form_traceless_option():
     alpha = random_two_form(3, rng, traceless=True)
     pts = np.random.default_rng(1).normal(size=(10, 6))
     for x in pts:
-        assert trace(alpha, x) == pytest.approx(0.0, abs=1e-12)
+        assert trace_field(alpha).value(x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_random_one_form_shapes():
