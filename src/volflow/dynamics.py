@@ -275,30 +275,20 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
 
 def divergence_at(field, x, h: float = FD_STEP) -> np.ndarray:
     """Divergence of the field by central differences, step scaled per coordinate."""
-    pts = as_points(x)
-    dim = pts.shape[-1]
-    div = np.zeros(pts.shape[:-1])
-    for a in range(dim):
-        ha = h * (1.0 + np.abs(pts[..., a]))
-        plus = pts.copy()
-        minus = pts.copy()
-        plus[..., a] = pts[..., a] + ha
-        minus[..., a] = pts[..., a] - ha
-        div = div + (field(plus)[..., a] - field(minus)[..., a]) / (2.0 * ha)
-    return div
+    return np.trace(_field_jacobian(field, as_points(x), h), axis1=-2, axis2=-1)
 
 
 def _field_jacobian(field, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """J[a, b] = dX^a/dx^b by central differences with scaled step."""
-    dim = x.shape[-1]
+    """J[..., a, b] = dX^a/dx^b at (..., 2n) points by central differences,
+    step h (1 + |x_b|)."""
     cols = []
-    for b in range(dim):
-        hb = h * (1.0 + abs(float(x[b])))
+    for b in range(x.shape[-1]):
+        hb = h * (1.0 + np.abs(x[..., b]))
         plus = x.copy()
         minus = x.copy()
-        plus[b] += hb
-        minus[b] -= hb
-        cols.append((field(plus) - field(minus)) / (2.0 * hb))
+        plus[..., b] += hb
+        minus[..., b] -= hb
+        cols.append((field(plus) - field(minus)) / (2.0 * hb[..., None]))
     return np.stack(cols, axis=-1)
 
 

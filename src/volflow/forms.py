@@ -240,7 +240,12 @@ class Polynomial(ScalarField):
             G[inverse.ravel(), cols] = np.concatenate([f._coeffs for f in parts])
             self._gradient_terms = basis, G
         exps, G = self._gradient_terms
-        return np.prod(pts[..., None, :] ** exps, axis=-1) @ G
+        monos = np.prod(pts[..., None, :] ** exps, axis=-1)
+        if np.isfinite(monos).all():
+            return monos @ G
+        # in the shared matmul an overflowing monomial would also turn the
+        # partials that lack it into NaN (0 * inf): take each on its own
+        return np.stack([self.partial(i).value(pts) for i in range(self.dim)], axis=-1)
 
     def partial(self, i: int) -> "Polynomial":
         if not 0 <= i < self.dim:

@@ -13,13 +13,12 @@ are the special case alpha proportional to the canonical symplectic form.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .forms import (
     FieldEvaluationError,
-    PhaseState,
     Polynomial,
     ScalarField,
     TwoFormField,
@@ -43,7 +42,7 @@ class GeneratedField:
     """A vector field on R^{2n}, evaluated batched as shape (..., 2n).
 
     `kind` records how the field was built ("from-two-form", "hamiltonian",
-    "feng-shang", "sum").  Calling the object evaluates it.
+    "feng-shang").  Calling the object evaluates it.
     """
 
     def __init__(self, n: int, eval_fn: Callable, kind: str, source=None):
@@ -81,18 +80,6 @@ class GeneratedField:
         out, dim = self.tangent_map()(pts), 2 * self.n
         return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
 
-    def at_state(self, state: PhaseState) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate at a PhaseState, returning (qdot, pdot)."""
-        v = self(state)
-        return v[: self.n], v[self.n :]
-
-    def __add__(self, other: "GeneratedField") -> "GeneratedField":
-        if not isinstance(other, GeneratedField) or other.n != self.n:
-            raise ValueError("can only add fields on the same space")
-        return GeneratedField(
-            self.n, lambda pts: self(pts) + other(pts), "sum", (self, other)
-        )
-
 
 def generate(alpha: TwoFormField) -> GeneratedField:
     """The volume-preserving field generated by the 2-form alpha.
@@ -100,31 +87,39 @@ def generate(alpha: TwoFormField) -> GeneratedField:
     When every component is a `Polynomial`, X is a polynomial too: it is
     compiled here, once, into a monomial basis and a coefficient matrix,
     and the field has an exact `tangent`.  Any other component makes each
-    call go through the component jet.
+    call take the components' gradients (see `_field`).
     """
-    n = alpha.n
-    fields = [f for _, _, _, f in alpha.components()]
-    if all(isinstance(f, Polynomial) and f.dim == 2 * n for f in fields):
-        eval_fn = _PolynomialField(n, _field_terms(alpha))
-    else:
-        eval_fn = lambda pts: _jet_field(alpha.jet_at(pts))
-    return GeneratedField(n, eval_fn, "from-two-form", alpha)
+    return _field(alpha.n, list(_field_terms(alpha)), "from-two-form", alpha)
 
 
-def _jet_field(jet) -> np.ndarray:
-    # qdot^i = dP^ij/dq^j + d(trA)/dp_i - dA^i_j/dp_j
-    qdot = (
-        np.einsum("...ijj->...i", jet.dP_dq)
-        + np.einsum("...jji->...i", jet.dA_dp)
-        - np.einsum("...ijj->...i", jet.dA_dp)
-    )
-    # pdot_i = dQ_ij/dp_j - d(trA)/dq^i + dA^j_i/dq^j
-    pdot = (
-        np.einsum("...ijj->...i", jet.dQ_dp)
-        - np.einsum("...jji->...i", jet.dA_dq)
-        + np.einsum("...jij->...i", jet.dA_dq)
-    )
-    return np.concatenate([qdot, pdot], axis=-1)
+def _names(n: int):
+    """The field's output names, in coordinate order."""
+    return [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
+
+
+def _field(n: int, terms, kind: str, source) -> GeneratedField:
+    """The field X^a = sum of sign * df/dx^d over `terms` (a, sign, f, d).
+
+    When every f is a `Polynomial` on R^{2n} the field is compiled into a
+    `_PolynomialField`.  Otherwise each call takes every distinct f's
+    gradient once and sums the terms; a non-finite output raises
+    `FieldEvaluationError` naming its component.
+    """
+    if all(isinstance(f, Polynomial) and f.dim == 2 * n for _, _, f, _ in terms):
+        return GeneratedField(n, _PolynomialField(n, terms), kind, source)
+    names = _names(n)
+
+    def eval_fn(pts):
+        grads, out = {}, np.zeros(pts.shape)
+        for a, sign, f, d in terms:
+            if f not in grads:
+                grads[f] = np.asarray(f.gradient(pts), dtype=float)
+            out[..., a] += sign * grads[f][..., d]
+        if not np.isfinite(out).all():
+            raise FieldEvaluationError(names[np.argwhere(~np.isfinite(out))[0, -1]])
+        return out
+
+    return GeneratedField(n, eval_fn, kind, source)
 
 
 def _field_terms(alpha: TwoFormField):
@@ -207,10 +202,9 @@ class _PolynomialField(_MonomialMap):
     def __init__(self, n: int, terms):
         dim = 2 * n
         self.coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-        names = [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
         # X^a gains sign * g for each first partial g of a component
         self.partials = [(a, sign, f.partial(d)) for a, sign, f, d in terms]
-        super().__init__(dim, self.partials, names)
+        super().__init__(dim, self.partials, _names(n))
         self._tangent_map = None
 
     def tangent_map(self) -> _MonomialMap:
@@ -230,15 +224,8 @@ def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:
     A `Polynomial` H is compiled like a polynomial 2-form, so the field
     has an exact `tangent`; any other H is differentiated at every call.
     """
-    if isinstance(H, Polynomial) and H.dim == 2 * n:
-        terms = [t for i in range(n) for t in ((i, 1.0, H, n + i), (n + i, -1.0, H, i))]
-        return GeneratedField(n, _PolynomialField(n, terms), "hamiltonian", H)
-
-    def eval_fn(pts):
-        g = H.gradient(pts)
-        return np.concatenate([g[..., n:], -g[..., :n]], axis=-1)
-
-    return GeneratedField(n, eval_fn, "hamiltonian", H)
+    terms = [t for i in range(n) for t in ((i, 1.0, H, n + i), (n + i, -1.0, H, i))]
+    return _field(n, terms, "hamiltonian", H)
 
 
 def decompose(alpha: TwoFormField) -> Tuple[GeneratedField, GeneratedField]:

@@ -26,7 +26,7 @@ from .forms import (
     linear_system_two_form,
     poly_variables,
 )
-from .generator import GeneratedField, generate
+from .generator import GeneratedField, generate, hamiltonian_field
 
 __all__ = [
     "DRIFT_SIGN",
@@ -146,7 +146,8 @@ def _default_linear_x0(n: int) -> np.ndarray:
 
 
 def linear_system(k, name: str = "linear") -> SystemInstance:
-    """System from qddot = -k q; the 2-form route for n >= 2, direct for n = 1."""
+    """System from qddot = -k q; the 2-form route for n >= 2, and for n = 1
+    (where k has no antisymmetric part) the Hamiltonian field of H."""
     spec = LinearSystemSpec(np.asarray(k, dtype=float))
     symplectic = bool(np.allclose(spec.a, 0.0))
     if spec.n >= 2:
@@ -154,7 +155,7 @@ def linear_system(k, name: str = "linear") -> SystemInstance:
         field = generate(alpha)
     else:
         alpha = None
-        field = spec.direct_field()
+        field = hamiltonian_field(spec.hamiltonian(), 1)
     return SystemInstance(
         name=name,
         n=spec.n,
@@ -371,6 +372,8 @@ def _build_linear(k=None, **_):
 def _build_drift(n=2, coupling=0.25, a=None, q0=None, **_):
     if a is None:
         n = int(n)
+        if n < 2:
+            raise ValueError("drift systems need n >= 2")
         a = np.zeros((n, n))
         a[0, 1] = float(coupling)
         a[1, 0] = -float(coupling)

@@ -188,6 +188,31 @@ def test_check_report_structure_and_determinism(tmp_path, capsys):
     assert open(report, "rb").read() == first
 
 
+def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
+    # n = 4 is covered only by oracle_equivalence and lemmas; feng_shang
+    # still checks its witness, and the flow suites do not depend on n
+    report = str(tmp_path / "rep.json")
+    rc = main(["check", "--n", "4", "--trials", "1", "--horizon", "0.5",
+               "--report", report])
+    assert rc == 0
+    out = capsys.readouterr().out
+    data = json.loads(open(report).read())
+    skipped = {"hamiltonian_reduction", "divergence_free", "gauge_invariance",
+               "observable_derivative", "poisson_trace", "trace_closed_form",
+               "decomposition"}
+    for name, entry in data.items():
+        if name == "_meta":
+            continue
+        line = next(l for l in out.splitlines() if f" {name} " in l)
+        if name in skipped:
+            assert line.startswith("skip ") and entry["skipped"] is True
+            assert entry["pass"] is False
+        else:
+            assert line.startswith("pass ") and "skipped" not in entry
+            assert entry["pass"] is True
+    assert skipped < set(data)
+
+
 def test_check_zero_trials_empty_report(tmp_path):
     report = str(tmp_path / "empty.json")
     assert main(["check", "--trials", "0", "--report", report]) == 0

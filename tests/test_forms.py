@@ -1,5 +1,7 @@
 """Scalar fields, polynomials, and 2-form fields."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,18 @@ def test_polynomial_gradient_is_its_partials():
                 terms = np.prod(x[..., None, :] ** g._exps, axis=-1) * g._coeffs
                 magnitude = np.abs(terms).sum(axis=-1)
                 assert np.all(np.abs(got[..., i] - g.value(x)) <= 1e-15 * magnitude)
+
+
+def test_polynomial_gradient_overflow_stays_in_its_entry():
+    # (q1)^8 overflows at q1 = 1e50; the shared monomial table must not turn
+    # the p1 entry into NaN (0 * inf), and nothing but the power overflow warns
+    f = Polynomial(2, {(8, 0): 1.0, (0, 1): 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", message="overflow encountered in power")
+        assert np.array_equal(f.gradient([1e50, 1.0]), [np.inf, 1.0])
+        got = f.gradient(np.array([[1e50, 1.0], [1.0, 2.0]]))
+    assert np.array_equal(got, [[np.inf, 1.0], [8.0, 1.0]])
 
 
 def test_polynomial_normalization_merges_terms():

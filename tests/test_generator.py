@@ -148,7 +148,7 @@ def test_zero_two_form_generates_zeros():
             assert not out.any()
 
 
-def test_mixed_components_use_the_jet(monkeypatch):
+def test_mixed_components_match_formula(monkeypatch):
     q, p = poly_variables(2)
     wavy = ScalarField(
         lambda x: np.sin(x[..., 0]) * x[..., 3],
@@ -158,13 +158,47 @@ def test_mixed_components_use_the_jet(monkeypatch):
     alpha = TwoFormField(2, Q={(0, 1): q[1] * p[0]}, A={(0, 1): wavy, (1, 1): p[0] * p[0]})
     calls = _count_jet_calls(alpha, monkeypatch)
     X = generate(alpha)
+    assert not X.exact_tangent
     rng = np.random.default_rng(7)
     for shape in [(), (5,), (2, 3)]:
         x = rng.normal(size=shape + (4,))
+        before = len(calls)
         got = X(x)
+        assert len(calls) == before  # the field never builds the jet
         want = _formula(alpha, x)
+        assert got.shape == x.shape
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-13
-    assert len(calls) == 6  # one jet per field call, one per formula
+
+
+def _wavy_hamiltonian():
+    """H = sin(q^1) p_2 + q^2 p_1^2 on n = 2, with an exact gradient."""
+    return ScalarField(
+        lambda x: np.sin(x[..., 0]) * x[..., 3] + x[..., 1] * x[..., 2] ** 2,
+        lambda x: np.stack([np.cos(x[..., 0]) * x[..., 3], x[..., 2] ** 2,
+                            2.0 * x[..., 1] * x[..., 2], np.sin(x[..., 0])], axis=-1),
+    )
+
+
+def test_generic_hamiltonian_field_is_the_gradient_formula():
+    H = _wavy_hamiltonian()
+    X = hamiltonian_field(H, 2)
+    assert not X.exact_tangent and X.kind == "hamiltonian"
+    rng = np.random.default_rng(8)
+    for shape in [(), (5,), (2, 3)]:
+        x = rng.normal(size=shape + (4,))
+        g = H.gradient(x)
+        assert np.array_equal(X(x), np.concatenate([g[..., 2:], -g[..., :2]], axis=-1))
+
+
+def test_generic_field_overflow_is_reported():
+    # pdot_2 = -dH/dq^2 = -p_1^2 overflows at p_1 = 1e200; qdot stays finite
+    X = hamiltonian_field(_wavy_hamiltonian(), 2)
+    x = np.array([0.0, 0.0, 1e200, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FieldEvaluationError) as info:
+            X(x)
+    assert info.value.component == "pdot2"
+    assert integrate(X, x, 1e-3, 5).failed
 
 
 def test_compiled_field_overflow_is_reported():
@@ -232,7 +266,8 @@ def test_non_polynomial_fields_have_no_exact_tangent():
     wavy = ScalarField(lambda x: np.sin(x[..., 0]))
     X = generate(TwoFormField(2, A={(0, 1): wavy, (1, 1): p[0] * q[1]}))
     H = hamiltonian_field(wavy + p[0] * p[0], 2)
-    for field in (X, H, generate(_witness_alpha()) + generate(_witness_alpha())):
+    F = feng_shang_field(feng_shang_from_alpha(_witness_alpha()))
+    for field in (X, H, F):
         assert not field.exact_tangent
         with pytest.raises(TypeError):
             field.tangent(np.zeros(4))
@@ -294,24 +329,12 @@ def test_generated_field_shapes_and_state():
     X = generate(_witness_alpha())
     pts = np.zeros((3, 5, 4))
     assert X(pts).shape == (3, 5, 4)
-    qdot, pdot = X.at_state(PhaseState(q=np.array([1.0, 2.0]), p=np.zeros(2)))
-    assert np.allclose(qdot, 0.0)
-    assert np.allclose(pdot, [0.0, 1.0])
+    v = X(PhaseState(q=np.array([1.0, 2.0]), p=np.zeros(2)))
+    assert np.allclose(v[:2], 0.0)
+    assert np.allclose(v[2:], [0.0, 1.0])
     assert X.kind == "from-two-form"
     with pytest.raises(ValueError):
         X(np.zeros(3))
-
-
-def test_field_addition():
-    a = _witness_alpha()
-    X = generate(a)
-    Y = generate(a * 2.0)
-    S = X + Y
-    x = np.array([0.5, 0.5, 0.5, 0.5])
-    assert np.allclose(S(x), 3.0 * X(x))
-    assert S.kind == "sum"
-    with pytest.raises(ValueError):
-        X + generate(TwoFormField(3))
 
 
 # ------------------------------------------------------------- Hamiltonian case

@@ -239,6 +239,32 @@ def test_build_system_registry():
         build_system("no-such-system")
 
 
+def test_built_systems_have_exact_tangent():
+    # at n = 1 there is no 2-form: harmonic and linear take the Hamiltonian
+    # field of their polynomial H, and the 2-form systems refuse n = 1
+    for n in (1, 2):
+        params = {"harmonic": {"n": n}, "coupled-oscillators": {},
+                  "linear": {"k": np.triu(np.ones((n, n))) + np.eye(n)},
+                  "drift": {"n": n}, "random-alpha": {"n": n, "seed": 1}, "zero": {"n": n}}
+        assert set(params) == set(SYSTEM_BUILDERS)
+        for name, kw in params.items():
+            if n == 1 and name in ("drift", "random-alpha", "zero"):
+                with pytest.raises(ValueError):
+                    build_system(name, **kw)
+                continue
+            sys = build_system(name, **kw)
+            assert sys.field.exact_tangent, name
+
+
+def test_linear_n1_is_the_direct_field():
+    sys = linear_system([[2.5]])
+    direct = LinearSystemSpec(np.array([[2.5]])).direct_field()
+    x = np.random.default_rng(4).normal(size=(6, 2))
+    assert np.array_equal(sys.field(x), direct(x))
+    value, jac = sys.field.tangent(x[0])
+    assert np.array_equal(jac, [[0.0, 1.0], [-2.5, 0.0]])
+
+
 def test_zero_system_is_static():
     sys = zero_system(2)
     x = np.array([0.1, 0.2, 0.3, 0.4])
