@@ -2,13 +2,14 @@
 
 Integration is classical fixed-step RK4, batched over leading axes.  Flow
 Jacobians are exact for a field with an exact tangent (a compiled
-polynomial field): each step carries the RK4 tangent map, from the
-compiled [X | DX] map.  Any other field steps a bundle of displaced initial
-conditions and takes central differences.  Diagnostics quantify what the
-generated fields promise:
-vanishing divergence, unit flow-Jacobian determinant, the Lie derivative
-of the symplectic form, and the observable-derivative identity relating
-df/dt along the flow to an exterior product.
+polynomial field): the path is stepped on the X map, and every 64 steps
+one batched call of the compiled [X | DX] map at their stage points gives
+the exact RK4 step Jacobians.  Any other field steps a bundle of
+displaced initial conditions and takes central differences.  Diagnostics
+quantify what the generated fields promise: vanishing divergence, unit
+flow-Jacobian determinant, the Lie derivative of the symplectic form, and
+the observable-derivative identity relating df/dt along the flow to an
+exterior product.
 """
 
 from __future__ import annotations
@@ -136,25 +137,55 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     return Trajectory(times, states, dt=dt, field=field)
 
 
-def _tangent_step(tangent: Callable, x: np.ndarray, dt: float, X1: np.ndarray,
-                  DX1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One RK4 step from x and its exact Jacobian S.
+# Steps whose Jacobians one batched [X | DX] call takes: enough to spread
+# numpy's per-call cost at batch 1, few enough to keep the stage stack small.
+_BLOCK = 64
 
-    `tangent(y)` returns (X(y), DX(y)) at one point, and X1, DX1 are their
-    values at x.  The stages are those of RK4 on the variational equation
-    (x, V)' = (X(x), DX(x) V) from (x, I): dk_1 = DX(x),
-    dk_2 = DX(y_2)(I + dt/2 dk_1), dk_3 = DX(y_3)(I + dt/2 dk_2),
-    dk_4 = DX(y_4)(I + dt dk_3), and S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
+
+def _exact_block(field, x: np.ndarray, dt: float,
+                 steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Up to `steps` RK4 steps from x on a compiled field, and their exact Jacobians.
+
+    The steps run on the unchecked X map, recording each stage point, and
+    stop after the first non-finite state.  One call of the compiled
+    [X | DX] map on the stage points and the last state then gives every
+    DX, and each step Jacobian S is RK4 on the variational equation
+    (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with DX_i at
+    stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
+    dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
+    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
+
+    Returns the (b, 2n) states after each step, their (b, 2n, 2n) S and
+    the (b + 1, 2n, 2n) DX at x and at those states.  Where [X | DX] is not
+    finite at a stage, its step's S is NaN, and so is DX where the stage is
+    a state.
     """
-    eye = np.eye(x.shape[0])
-    X2, DX2 = tangent(x + 0.5 * dt * X1)
-    dk2 = DX2 @ (eye + 0.5 * dt * DX1)
-    X3, DX3 = tangent(x + 0.5 * dt * X2)
-    dk3 = DX3 @ (eye + 0.5 * dt * dk2)
-    X4, DX4 = tangent(x + dt * X3)
-    dk4 = DX4 @ (eye + dt * dk3)
-    return (x + (dt / 6.0) * (X1 + 2.0 * X2 + 2.0 * X3 + X4),
-            eye + (dt / 6.0) * (DX1 + 2.0 * dk2 + 2.0 * dk3 + dk4))
+    values = field._eval_fn.values
+    stages = []
+
+    def stage(y):
+        stages.append(y)
+        return values(y)
+
+    xs = []
+    for _ in range(steps):
+        x = _rk4_step(stage, x, dt)
+        xs.append(x)
+        if not np.isfinite(x).all():
+            break
+    dim = x.shape[0]
+    rows = field.tangent_map().values(np.array(stages + [x]))
+    ok = np.isfinite(rows).all(axis=1)
+    DX = rows[:, dim:].reshape(-1, dim, dim)
+    DX[~ok] = np.nan
+    D = DX[:-1].reshape(-1, 4, dim, dim)  # the four stages of each step
+    eye = np.eye(dim)
+    dk2 = D[:, 1] @ (eye + 0.5 * dt * D[:, 0])
+    dk3 = D[:, 2] @ (eye + 0.5 * dt * dk2)
+    dk4 = D[:, 3] @ (eye + dt * dk3)
+    S = eye + (dt / 6.0) * (D[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
+    S[~ok[:-1].reshape(-1, 4).all(axis=1)] = np.nan
+    return np.array(xs).reshape(-1, dim), S, DX[::4]
 
 
 def _bundle_step(field, x: np.ndarray, dt: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,6 +205,25 @@ def _bundle_step(field, x: np.ndarray, dt: float, h: float) -> Tuple[np.ndarray,
     return stepped[0], (stepped[1 : 1 + dim] - stepped[1 + dim :]).T / (2.0 * hvec)
 
 
+def _bundle_block(field, x: np.ndarray, dt: float, steps: int,
+                  h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Up to `steps` steps of `_bundle_step` from x: the (b, 2n) states and
+    their (b, 2n, 2n) S, stopping after the first non-finite one.  A step
+    whose field call raised is returned as NaN."""
+    xs, Ss = [], []
+    for _ in range(steps):
+        try:
+            x, S = _bundle_step(field, x, dt, h)
+        except (FieldEvaluationError, FloatingPointError, OverflowError):
+            x, S = np.full(x.shape, np.nan), np.full(x.shape * 2, np.nan)
+        xs.append(x)
+        Ss.append(S)
+        if not (np.isfinite(x).all() and np.isfinite(S).all()):
+            break
+    dim = x.shape[0]
+    return np.array(xs).reshape(-1, dim), np.array(Ss).reshape(-1, dim, dim)
+
+
 class _Pass(NamedTuple):
     trajectory: Trajectory
     times: np.ndarray
@@ -187,14 +237,16 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
               trajectory_every: int, h: float) -> _Pass:
     """Integrate one point once with RK4, carrying each step's Jacobian S.
 
-    A field with an exact tangent steps through `_tangent_step`, any other
-    field through `_bundle_step`.  Records the trajectory every
-    `trajectory_every` steps and, every `sample_every` steps, the state,
-    the flow-Jacobian determinant (by the chain rule, the running product
-    of det S) and, on the exact path, DX at the state.  `calls` counts the
-    field or tangent calls of the completed steps.  A non-finite state,
-    step Jacobian or field value ends the pass, marked failed, with every
-    series cut at its last sample that has all of its values.
+    The steps run in blocks of `_BLOCK`: through `_exact_block` for a field
+    with an exact tangent, through `_bundle_block` for any other.  Records
+    the trajectory every `trajectory_every` steps and, every `sample_every`
+    steps, the state, the flow-Jacobian determinant (by the chain rule, the
+    running product of det S, one `det` and one `cumprod` per block) and,
+    on the exact path, DX at the state from the block's [X | DX] call.
+    `calls` counts the field calls that stepped the path, four per
+    completed step.  A non-finite state, step Jacobian or field value ends
+    the pass, marked failed: the trajectory keeps the steps before it, and
+    the samples also drop a last state whose DX is not finite.
     """
     x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
     if x.ndim != 1:
@@ -202,12 +254,6 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     dt = float(dt)
     dim = x.shape[0]
     exact = isinstance(field, GeneratedField) and field.exact_tangent
-    if exact:
-        tangent_map = field.tangent_map()
-
-        def tangent(y):
-            out = tangent_map(y)
-            return out[:dim], out[dim:].reshape(dim, dim)
     traj_times = _sample_times(dt, steps, trajectory_every)
     times = _sample_times(dt, steps, sample_every)
     traj = np.empty((traj_times.size, dim))
@@ -216,43 +262,42 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     jacs = np.empty((times.size, dim, dim)) if exact else None
     traj[0] = states[0] = x
     dets[0] = running = 1.0
-    n_traj = n_samples = 1
-    calls = 0
-    failed = False
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if exact:  # the first stage at x0
-                X1, DX1 = tangent(x)
-                jacs[0] = DX1
-                calls = 1
-            for k in range(1, steps + 1):
-                if exact:
-                    x, S = _tangent_step(tangent, x, dt, X1, DX1)
-                else:
-                    x, S = _bundle_step(field, x, dt, h)
-                if not (np.isfinite(x).all() and np.isfinite(S).all()):
-                    failed = True
-                    break
-                running *= float(np.linalg.det(S))
-                if k % trajectory_every == 0:
-                    traj[n_traj] = x
-                    n_traj += 1
-                if exact:  # the next step's first stage, and DX at x
-                    X1, DX1 = tangent(x)
-                calls += 4
-                if k % sample_every == 0:
-                    states[n_samples] = x
-                    dets[n_samples] = running
-                    if exact:
-                        jacs[n_samples] = DX1
-                    n_samples += 1
-        except (FieldEvaluationError, FloatingPointError, OverflowError):
-            failed = True
+        while True:
+            if exact:
+                xs, S, DX = _exact_block(field, x, dt, min(_BLOCK, steps - done))
+            else:
+                xs, S = _bundle_block(field, x, dt, min(_BLOCK, steps - done), h)
+            good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
+            v = len(xs) if good.all() else int(np.argmin(good))  # valid steps
+            # the block's states from step `done` on, and their running dets;
+            # rows past the cut made below are written but not returned
+            k = done + np.arange(v + 1)
+            block = np.concatenate([x[None, :], xs[:v]])
+            cum = np.cumprod(np.concatenate([[running], np.linalg.det(S[:v])]))
+            t = k % trajectory_every == 0
+            traj[k[t] // trajectory_every] = block[t]
+            s = k % sample_every == 0
+            states[k[s] // sample_every] = block[s]
+            dets[k[s] // sample_every] = cum[s]
+            if exact:
+                jacs[k[s] // sample_every] = DX[: v + 1][s]
+            done += v
+            # DX at the last valid state, which its sample needs
+            sampled = not exact or np.isfinite(DX[v]).all()
+            failed = v < len(xs) or not sampled
+            if failed or done == steps:
+                break
+            x, running = xs[-1], cum[-1]
+    last_sample = done if sampled else max(done - 1, 0)
+    n_traj = done // trajectory_every + 1
+    n_samples = last_sample // sample_every + 1
     trajectory = Trajectory(traj_times[:n_traj], traj[:n_traj], failed=failed,
                             last_valid_index=n_traj - 1 if failed else None,
                             dt=dt, field=field)
-    return _Pass(trajectory, times[:n_samples], states[:n_samples],
-                 dets[:n_samples], None if jacs is None else jacs[:n_samples], calls)
+    return _Pass(trajectory, times[:n_samples], states[:n_samples], dets[:n_samples],
+                 None if jacs is None else jacs[:n_samples], 4 * done)
 
 
 def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
@@ -261,7 +306,7 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
 
     Chain rule: the determinant over [0, T] is the product of one-step
     determinants det dPhi_dt(x_k) along the trajectory.  Each factor is
-    exact for a field with an exact tangent (see `_tangent_step`) and taken
+    exact for a field with an exact tangent (see `_exact_block`) and taken
     by central differences with per-coordinate step h * (1 + |x_a|)
     otherwise (see `_bundle_step`).  Returns (times, dets); volume
     preservation means dets close to one.  Raises FloatingPointError if
@@ -392,8 +437,9 @@ class FlowDiagnostics:
     `identity_residuals` holds named residual series, e.g. the max
     coefficient of the Lie derivative of the symplectic form.
     `trajectory` is the integrated curve at its own cadence, and
-    `field_evaluations` counts the field or tangent calls that produced it
-    all.
+    `field_evaluations` counts the field calls that stepped it, four per
+    step, plus the finite-difference calls for DX at the samples of a field
+    without an exact tangent; the batched [X | DX] calls are not counted.
     """
 
     times: np.ndarray
@@ -441,9 +487,10 @@ def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
     The trajectory is recorded every `trajectory_every` steps (default:
     `sample_every`) and the diagnostics every `sample_every` steps, both
     from the same integration.  The determinants, div X = tr DX and
-    L_X omega = DX^T W + W DX are exact for a field with an exact tangent;
-    any other field gets the finite-difference bundle (step `jacobian_h`)
-    and a finite-difference DX at the samples.  The observable named "H"
+    L_X omega = DX^T W + W DX are exact for a field with an exact tangent,
+    with DX at the samples taken from the same batched [X | DX] calls as the
+    step Jacobians; any other field gets the finite-difference bundle (step
+    `jacobian_h`) and a finite-difference DX at the samples.  The observable named "H"
     doubles as the energy series.  The identity series "lie_omega_max_abs"
     records the largest coefficient of L_X omega at each sample; it stays
     at zero iff the field is symplectic.  A run that leaves the finite

@@ -176,7 +176,8 @@ class _MonomialMap:
         self.gather = basis[:, used] * dim + used
         self.names = names
 
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
         powers = [np.ones_like(pts)]
         for _ in range(self.deg):
             powers.append(powers[-1] * pts)
@@ -184,7 +185,10 @@ class _MonomialMap:
         # one point gathers through numpy's much cheaper 1-d indexing; the
         # gathered factors, the widest array, are freed once multiplied
         monos = (table[self.gather] if table.ndim == 1 else table[..., self.gather]).prod(-1)
-        out = monos @ self.C
+        return monos @ self.C
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        out = self.values(pts)
         if not np.isfinite(out).all():
             raise FieldEvaluationError(self.names[np.argwhere(~np.isfinite(out))[0, -1]])
         return out

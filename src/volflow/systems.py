@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .forms import (
     OneFormField,
@@ -100,6 +99,8 @@ class LinearSystemSpec:
 
     def flow(self, t: float, x0) -> np.ndarray:
         """Exact solution expm(t M) x0 (handles defective M)."""
+        from scipy.linalg import expm  # the only use of scipy: keep it out of `import volflow`
+
         x0 = np.asarray(x0, dtype=float)
         return expm(float(t) * self.first_order_matrix()) @ x0
 

@@ -24,7 +24,7 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow.dynamics import _bundle_step, _tangent_step
+from volflow.dynamics import _BLOCK, _bundle_step, _exact_block
 from volflow.systems import (
     coupled_oscillators,
     drift_system,
@@ -158,7 +158,8 @@ def test_tangent_step_jacobian_matches_bundle():
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            exact_x, exact_S = _tangent_step(X.tangent, x, 1e-2, *X.tangent(x))
+            xs, S, _ = _exact_block(X, x, 1e-2, 1)
+            exact_x, exact_S = xs[0], S[0]
             fd_x, fd_S = _bundle_step(X, x, 1e-2, 1e-5)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
             assert np.max(np.abs(exact_S - fd_S) / (1.0 + np.abs(fd_S))) <= 1e-7
@@ -184,9 +185,26 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         k3 = variational(z + 0.5 * dt * k2)
         k4 = variational(z + dt * k3)
         want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        got_x, got_S = _tangent_step(X.tangent, x, dt, *X.tangent(x))
-        got = np.concatenate([got_x, got_S.ravel()])
+        xs, S, DX = _exact_block(X, x, dt, 1)
+        got = np.concatenate([xs[0], S[0].ravel()])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
+        # the block also returns DX at x and at the state it ends at
+        for state, jac in zip((x, xs[0]), DX):
+            assert np.max(np.abs(jac - X.tangent(state)[1])) <= 1e-15 * (1.0 + np.abs(jac).max())
+
+
+def test_flow_dets_across_block_boundaries():
+    # the step Jacobians are taken in blocks of _BLOCK steps; the samples
+    # must not depend on where the blocks end
+    X = random_alpha_system(n=3, seed=2).field
+    x0 = random_alpha_system(n=3, seed=2).default_x0
+    steps = 3 * _BLOCK + 5
+    every_step = flow_jacobian_dets(X, x0, dt=1e-2, steps=steps, sample_every=1)
+    times, dets = flow_jacobian_dets(X, x0, dt=1e-2, steps=steps, sample_every=7)
+    assert times.shape == (steps // 7 + 1,)
+    assert np.array_equal(times, every_step[0][::7])
+    assert np.max(np.abs(dets - every_step[1][::7]) / np.abs(dets)) <= 1e-15
+    assert np.max(np.abs(every_step[1] - 1.0)) <= 1e-8
 
 
 def test_flow_dets_exact_for_coupled_system():
@@ -408,6 +426,56 @@ def test_monitor_reports_bundle_overflow():
     assert np.array_equal(diag.trajectory.times, [0.0])
 
 
+def _overflowing_dx_field(c, moving):
+    # pdot_2 = 20 c q1^19, whose derivative in q1 overflows first; `moving`
+    # adds P^12 = q2, so that qdot^1 = 1 carries q1 into the overflow
+    A = {(0, 1): Polynomial(4, {(20, 0, 0, 0): c})}
+    P = {(0, 1): Polynomial(4, {(0, 1, 0, 0): 1.0})} if moving else None
+    return generate(TwoFormField(2, A=A, P=P))
+
+
+def test_monitor_overflowing_jacobian_at_x0():
+    X = _overflowing_dx_field(1e306, moving=False)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.isfinite(X(x0)).all()  # pdot_2 = 2e307
+    diag = monitor(X, x0, 1e-3, 50, sample_every=10, trajectory_every=5)
+    assert diag.failed and diag.trajectory.failed
+    assert len(diag.trajectory.states) == 1 and len(diag.states) == 1
+    assert diag.trajectory.last_valid_index == 0
+    with pytest.raises(FloatingPointError):
+        flow_jacobian_dets(X, x0, 1e-3, 50, sample_every=10)
+
+
+def test_monitor_overflowing_jacobian_after_first_block():
+    # the first non-finite step Jacobian is at step 88, in the second block
+    X = _overflowing_dx_field(1e300, moving=True)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    diag = monitor(X, x0, 1e-2, 200, sample_every=10, trajectory_every=5)
+    assert diag.failed
+    assert (len(diag.trajectory.states), len(diag.states)) == (18, 9)
+    assert diag.trajectory.times[-1] == pytest.approx(0.85)
+    every = monitor(X, x0, 1e-2, 200, sample_every=1, trajectory_every=1)
+    assert (len(every.trajectory.states), len(every.states)) == (88, 88)
+    assert np.array_equal(every.trajectory.states[::5], diag.trajectory.states)
+    with pytest.raises(FloatingPointError):
+        flow_jacobian_dets(X, x0, 1e-2, 200, sample_every=10)
+
+
+def test_monitor_drops_a_sample_whose_jacobian_overflows():
+    # q1' = q2^2 with (q2, p2) rotating; the table entry q1^300 overflows at
+    # the state after step 80 but at none of that step's other stages, so the
+    # trajectory keeps step 80 and the samples end at step 79
+    q, p = poly_variables(3)
+    H = p[0] * q[1] * q[1] + (q[1] * q[1] + p[1] * p[1]) * 0.5 + q[2] * q[0] ** 300 * 1e-300
+    X = hamiltonian_field(H, 3)
+    x0 = np.array([-9.4, 0.0, 0.0, 0.0, 1.0, 0.0])
+    every = monitor(X, x0, 0.5, 200, sample_every=1, trajectory_every=1)
+    assert every.failed
+    assert (len(every.trajectory.states), len(every.states)) == (81, 80)
+    diag = monitor(X, x0, 0.5, 200, sample_every=10, trajectory_every=5)
+    assert (len(diag.trajectory.states), len(diag.states)) == (17, 8)
+
+
 @pytest.mark.parametrize("sys", [coupled_oscillators(), random_alpha_system(3, 2)],
                          ids=["coupled", "random-n3"])
 def test_monitor_trajectory_is_integrate(sys):
@@ -420,8 +488,8 @@ def test_monitor_trajectory_is_integrate(sys):
     err = np.abs(diag.trajectory.states - traj.states) / (1.0 + np.abs(traj.states))
     assert np.max(err) <= 1e-14
     assert np.array_equal(diag.states, diag.trajectory.states[::25])
-    # four tangent calls per step plus one at x0
-    assert diag.field_evaluations == 4 * 1000 + 1
+    # the four X-map calls of each step; the batched [X | DX] calls are not counted
+    assert diag.field_evaluations == 4 * 1000
 
 
 def test_monitor_exact_for_polynomial_hamiltonian():
@@ -431,7 +499,7 @@ def test_monitor_exact_for_polynomial_hamiltonian():
     assert X.exact_tangent
     diag = monitor(X, np.array([1.0, -0.5, 0.0, 0.3]), dt=1e-3, steps=2000,
                    sample_every=500, observables={"H": H})
-    assert diag.field_evaluations == 4 * 2000 + 1
+    assert diag.field_evaluations == 4 * 2000
     assert diag.max_volume_error() <= 1e-12
     assert diag.max_divergence() <= 1e-14
     assert diag.max_lie_omega() <= 1e-12

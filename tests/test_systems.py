@@ -1,10 +1,15 @@
 """Prebuilt systems: linear algebra splits, analytic flows, random instances."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volflow
 from volflow import (
     COUPLED_K,
     DRIFT_SIGN,
@@ -60,6 +65,15 @@ def test_spec_first_order_matrix_and_flow():
     got = spec.flow(t, x0)
     want = np.array([np.cos(2 * t), np.sin(3 * t), -2 * np.sin(2 * t), 3 * np.cos(3 * t)])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is only needed by LinearSystemSpec.flow, which imports it itself
+    src = os.path.dirname(os.path.dirname(volflow.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import volflow; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_spec_direct_field_equations():
