@@ -151,9 +151,18 @@ class _MonomialMap:
 
     `terms` yields (column, sign, g): output `column` gains sign * g for a
     `Polynomial` g.  The terms are merged into an (m, dim) exponent basis
-    and an (m, len(names)) coefficient matrix C.  A call builds the power
-    table x_d^0..x_d^deg of each coordinate and multiplies the gathered
-    powers across coordinates into the monomial table m(x).
+    and an (m, len(names)) coefficient matrix C.
+
+    Evaluation is points-major: on x = pts.T, coordinates first, a call
+    fills the ((deg + 1) * dim, ...) power table whose row e * dim + d is
+    x_d^e, so row d < dim is x_d^0 = 1.  `factors` is a (width, m) table of
+    such row indices: column k lists the non-unit factors x_d^e (e > 0) of
+    monomial k in coordinate order, padded with row 0, and width is the
+    largest count of non-unit factors in any monomial (at least 1).  The
+    monomial table m(x) is the product of the gathered rows, and m(x).T @ C
+    puts the outputs back in point order.  Multiplying by the padding 1.0 is
+    exact and the non-unit factors are multiplied in coordinate order, so
+    each monomial is exactly the coordinate-order product of all its powers.
     """
 
     def __init__(self, dim: int, terms, names):
@@ -170,22 +179,27 @@ class _MonomialMap:
         self.C = C[keep]
         basis = basis[keep]
         self.deg = int(basis.max(initial=0))
-        # flat index of x_d^e in the (deg + 1) * dim power table, for every
-        # coordinate d that some monomial uses
-        used = np.flatnonzero(np.any(basis > 0, axis=0))
-        self.gather = basis[:, used] * dim + used
+        # each row's power-table indices e * dim + d, the non-unit ones
+        # moved to the front in coordinate order, the rest pointing at row 0
+        nonunit = basis > 0
+        flat = np.where(nonunit, basis * dim + np.arange(dim), 0)
+        order = np.argsort(~nonunit, axis=1, kind="stable")
+        width = max(int(nonunit.sum(axis=1).max(initial=0)), 1)
+        self.factors = np.take_along_axis(flat, order, axis=1)[:, :width].T
         self.names = names
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
-        powers = [np.ones_like(pts)]
-        for _ in range(self.deg):
-            powers.append(powers[-1] * pts)
-        table = np.concatenate(powers, axis=-1)
-        # one point gathers through numpy's much cheaper 1-d indexing; the
-        # gathered factors, the widest array, are freed once multiplied
-        monos = (table[self.gather] if table.ndim == 1 else table[..., self.gather]).prod(-1)
-        return monos @ self.C
+        x = pts.T
+        dim = x.shape[0]
+        table = np.empty(((self.deg + 1) * dim,) + x.shape[1:])
+        table[:dim] = 1.0
+        for e in range(1, self.deg + 1):
+            np.multiply(table[(e - 1) * dim:e * dim], x, out=table[e * dim:(e + 1) * dim])
+        monos = table[self.factors[0]]
+        for col in self.factors[1:]:
+            monos *= table[col]
+        return monos.T @ self.C
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         out = self.values(pts)

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def test_simulate_flag_overrides(tmp_path):
     out = str(tmp_path / "other.csv")
     assert main(["simulate", "--config", cfg, "--steps", "4", "--dt", "0.5",
                  "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert len(lines) - 1 == 4 // 2 + 1
     assert lines[-1].split(",")[0] == "2"  # 4 steps of 0.5
 
@@ -174,7 +175,7 @@ def test_check_report_structure_and_determinism(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "pass" in out and "oracle_equivalence" in out
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert data["_meta"]["n"] == [2]
     assert data["_meta"]["trials"] == 4
     for name, entry in data.items():
@@ -182,10 +183,10 @@ def test_check_report_structure_and_determinism(tmp_path, capsys):
             continue
         assert set(entry) >= {"max_residual", "tolerance", "pass"}
         assert entry["pass"] is True
-    first = open(report, "rb").read()
+    first = Path(report).read_bytes()
     main(["check", "--n", "2", "--trials", "4", "--seed", "3",
           "--horizon", "0.5", "--report", report])
-    assert open(report, "rb").read() == first
+    assert Path(report).read_bytes() == first
 
 
 def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
@@ -196,7 +197,7 @@ def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
                "--report", report])
     assert rc == 0
     out = capsys.readouterr().out
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     skipped = {"hamiltonian_reduction", "divergence_free", "gauge_invariance",
                "observable_derivative", "poisson_trace", "trace_closed_form",
                "decomposition"}
@@ -216,7 +217,7 @@ def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
 def test_check_zero_trials_empty_report(tmp_path):
     report = str(tmp_path / "empty.json")
     assert main(["check", "--trials", "0", "--report", report]) == 0
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert [k for k in data if k != "_meta"] == []
 
 
@@ -243,7 +244,7 @@ def test_check_seed_env_fallback(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("VOLFLOW_SEED")
     main(["check", "--n", "2", "--trials", "3", "--seed", "99",
           "--horizon", "0.5", "--report", r2])
-    assert json.loads(open(r1).read()) == json.loads(open(r2).read())
+    assert json.loads(Path(r1).read_text()) == json.loads(Path(r2).read_text())
     capsys.readouterr()
 
 

@@ -31,7 +31,7 @@ from volflow import (
     d_at_point,
 )
 from volflow.dynamics import _field_jacobian
-from volflow.generator import _MonomialMap
+from volflow.generator import _MonomialMap, _field_terms
 from volflow.systems import random_polynomial
 
 
@@ -290,6 +290,49 @@ def test_hamiltonian_field_of_a_polynomial_has_exact_tangent(n):
             fd = _field_jacobian(X, x[i])
             assert np.max(np.abs(jac[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
         assert np.max(np.abs(np.trace(jac, axis1=-2, axis2=-1))) <= 1e-14
+
+
+def _kernel_cases():
+    """2-forms whose compiled maps reach what random_two_form (degree <= 3,
+    so at most 2 non-unit factors per monomial) does not."""
+    q, p = poly_variables(3)  # dim 6 exceeds every width below
+    four = q[0] * q[1] * p[0] * p[1]  # its first partials have 3 non-unit factors
+    return {
+        "four-coordinates": TwoFormField(3, A={(0, 1): four + 3.0 * q[0]},
+                                         Q={(0, 1): four * p[0] - 0.5 * p[2]}),
+        # in A[0,0] a function of (q^1, p_1) alone: its trace terms cancel it
+        "cancelled": TwoFormField(3, A={(0, 0): q[0] * p[0] + q[0] * q[0]}),
+        "degree-0": TwoFormField(3, Q={(0, 1): 2.0 * p[0] - q[1] + 0.5}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_kernel_cases()))
+def test_monomial_kernel_batches_and_terms(case):
+    alpha = _kernel_cases()[case]
+    dim = 2 * alpha.n
+    X = generate(alpha)
+    first = [(a, sign, f.partial(d)) for a, sign, f, d in _field_terms(alpha)]
+    second = [(dim + a * dim + b, sign, g.partial(b))
+              for a, sign, g in first for b in range(dim)]
+    compiled = {"X": (X._eval_fn, first), "tangent": (X.tangent_map(), first + second)}
+    if case == "cancelled":
+        assert X._eval_fn.C.shape[0] == 0
+    if case == "degree-0":
+        assert X._eval_fn.deg == 0 and X.tangent_map().deg == 0
+    if case == "four-coordinates":
+        assert X._eval_fn.factors.shape[0] == 4  # dQ_12/dp_1 = 2 q^1 q^2 p_1 p_2
+    rng = np.random.default_rng(90)
+    for name, (fmap, terms) in compiled.items():
+        for shape in [(), (7,), (2, 3)]:
+            x = rng.normal(size=shape + (dim,))
+            got = fmap(x)
+            want = np.zeros(shape + (fmap.C.shape[1],))
+            for col, sign, g in terms:
+                want[..., col] += sign * g.value(x)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want)), initial=0.0) <= 1e-13
+            for i in np.ndindex(shape):
+                assert np.array_equal(got[i], fmap(x[i])), (name, shape, i)
 
 
 def test_monomial_map_finite_check():
