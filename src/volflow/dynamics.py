@@ -1,30 +1,31 @@
 """Flow integration and flow-level diagnostics.
 
 Integration is classical fixed-step RK4, batched over leading axes.  Flow
-Jacobians are exact for a field with an exact tangent (a compiled
-polynomial field): the path is stepped on the X map, and every 64 steps
-one batched call of the compiled [X | DX] map at their stage points gives
-the exact RK4 step Jacobians.  Any other field steps a bundle of
-displaced initial conditions and takes central differences.  Diagnostics
-quantify what the generated fields promise: vanishing divergence, unit
-flow-Jacobian determinant, the Lie derivative of the symplectic form, and
-the observable-derivative identity relating df/dt along the flow to an
+Jacobians come from RK4 on the variational equation: the path is stepped
+on the unchecked field, and every 64 steps one batched DX at their stage
+points gives the step Jacobians.  DX is exact for a field with an exact
+tangent (from the compiled [X | DX] map of a polynomial field) and taken
+by central differences of X for any other.  Diagnostics quantify what the
+generated fields promise: vanishing divergence, unit flow-Jacobian
+determinant, the Lie derivative of the symplectic form, and the
+observable-derivative identity relating df/dt along the flow to an
 exterior product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .exterior import KForm, omega_power, wedge, d_at_point, trace_of
 from .forms import (
-    FD_STEP,
     FieldEvaluationError,
     ScalarField,
     TwoFormField,
+    _fd_jacobian,
     as_points,
 )
 from .generator import GeneratedField, generate
@@ -137,35 +138,68 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     return Trajectory(times, states, dt=dt, field=field)
 
 
-# Steps whose Jacobians one batched [X | DX] call takes: enough to spread
-# numpy's per-call cost at batch 1, few enough to keep the stage stack small.
+# Steps whose Jacobians one batched DX call takes: enough to spread numpy's
+# per-call cost at batch 1, few enough to keep the stage stack small.
 _BLOCK = 64
 
 
-def _exact_block(field, x: np.ndarray, dt: float,
-                 steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Up to `steps` RK4 steps from x on a compiled field, and their exact Jacobians.
+def _dx_source(field) -> Tuple[Callable, Callable]:
+    """The unchecked X of `field` and its DX source for the step Jacobians.
 
-    The steps run on the unchecked X map, recording each stage point, and
-    stop after the first non-finite state.  One call of the compiled
-    [X | DX] map on the stage points and the last state then gives every
-    DX, and each step Jacobian S is RK4 on the variational equation
-    (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with DX_i at
-    stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
-    dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
-    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
+    The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
+    compiled [X | DX] map when the field has one with finite coefficients,
+    NaN where a row is not finite; otherwise central differences of X.
+    """
+    if not isinstance(field, GeneratedField):
+        return field, partial(_fd_dx, field)
+    X = field._eval_fn
+    if field.exact_tangent and np.isfinite(field.tangent_map().C).all():
+        return X, partial(_exact_dx, field.tangent_map())
+    return X, partial(_fd_dx, X)
+
+
+def _exact_dx(tangent_map, pts: np.ndarray) -> np.ndarray:
+    rows = tangent_map(pts)
+    rows[~np.isfinite(rows).all(axis=1)] = np.nan
+    dim = pts.shape[-1]
+    return rows[:, dim:].reshape(-1, dim, dim)
+
+
+def _fd_dx(X, pts: np.ndarray) -> np.ndarray:
+    try:
+        return _fd_jacobian(X, pts)
+    except (FieldEvaluationError, FloatingPointError, OverflowError):
+        # NaN at each point where X raises
+        if len(pts) > 1:
+            return np.concatenate([_fd_dx(X, p[None]) for p in pts])
+        return np.full((1,) + pts.shape[-1:] * 2, np.nan)
+
+
+def _rk4_block(X, dx, x: np.ndarray, dt: float,
+               steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Up to `steps` RK4 steps from x, and their Jacobians.
+
+    The steps run on the unchecked field X, recording each stage point, and
+    stop after the first non-finite state; a stage whose call raised is NaN.
+    One call of the DX source `dx` (see `_dx_source`) on the stage points
+    and the last state then gives every DX, and each step Jacobian S is RK4
+    on the variational equation (x, V)' = (X(x), DX(x) V) from (x, I), all
+    steps at once: with DX_i at stage i, dk_1 = DX_1,
+    dk_2 = DX_2 (I + dt/2 dk_1), dk_3 = DX_3 (I + dt/2 dk_2),
+    dk_4 = DX_4 (I + dt dk_3) and S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
 
     Returns the (b, 2n) states after each step, their (b, 2n, 2n) S and
-    the (b + 1, 2n, 2n) DX at x and at those states.  Where [X | DX] is not
-    finite at a stage, its step's S is NaN, and so is DX where the stage is
-    a state.
+    the (b + 1, 2n, 2n) DX at x and at those states.  A DX that is not
+    finite at a stage makes its step's S non-finite.
     """
-    values = field._eval_fn.values
     stages = []
 
     def stage(y):
         stages.append(y)
-        return values(y)
+        try:
+            return X(y)
+        except (FieldEvaluationError, FloatingPointError, OverflowError):
+            return np.full(y.shape, np.nan)
 
     xs = []
     for _ in range(steps):
@@ -174,54 +208,14 @@ def _exact_block(field, x: np.ndarray, dt: float,
         if not np.isfinite(x).all():
             break
     dim = x.shape[0]
-    rows = field.tangent_map().values(np.array(stages + [x]))
-    ok = np.isfinite(rows).all(axis=1)
-    DX = rows[:, dim:].reshape(-1, dim, dim)
-    DX[~ok] = np.nan
+    DX = dx(np.array(stages + [x]))
     D = DX[:-1].reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
     dk2 = D[:, 1] @ (eye + 0.5 * dt * D[:, 0])
     dk3 = D[:, 2] @ (eye + 0.5 * dt * dk2)
     dk4 = D[:, 3] @ (eye + dt * dk3)
     S = eye + (dt / 6.0) * (D[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
-    S[~ok[:-1].reshape(-1, 4).all(axis=1)] = np.nan
     return np.array(xs).reshape(-1, dim), S, DX[::4]
-
-
-def _bundle_step(field, x: np.ndarray, dt: float, h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """One RK4 step from x and its Jacobian S by central differences.
-
-    The bundle is x and x +- h (1 + |x_b|) e_b, stepped together; its
-    centre row is the step itself, and column b of S comes from the pair
-    displaced along b.  Re-centring at every step keeps each factor well
-    conditioned even when trajectories separate exponentially.
-    """
-    dim = x.shape[0]
-    hvec = h * (1.0 + np.abs(x))
-    bundle = np.concatenate(
-        [x[None, :], x[None, :] + np.diag(hvec), x[None, :] - np.diag(hvec)]
-    )
-    stepped = _rk4_step(field, bundle, dt)
-    return stepped[0], (stepped[1 : 1 + dim] - stepped[1 + dim :]).T / (2.0 * hvec)
-
-
-def _bundle_block(field, x: np.ndarray, dt: float, steps: int,
-                  h: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Up to `steps` steps of `_bundle_step` from x: the (b, 2n) states and
-    their (b, 2n, 2n) S, stopping after the first non-finite one.  A step
-    whose field call raised is returned as NaN."""
-    xs, Ss = [], []
-    for _ in range(steps):
-        try:
-            x, S = _bundle_step(field, x, dt, h)
-        except (FieldEvaluationError, FloatingPointError, OverflowError):
-            x, S = np.full(x.shape, np.nan), np.full(x.shape * 2, np.nan)
-        xs.append(x)
-        Ss.append(S)
-        if not (np.isfinite(x).all() and np.isfinite(S).all()):
-            break
-    dim = x.shape[0]
-    return np.array(xs).reshape(-1, dim), np.array(Ss).reshape(-1, dim, dim)
 
 
 class _Pass(NamedTuple):
@@ -229,20 +223,19 @@ class _Pass(NamedTuple):
     times: np.ndarray
     states: np.ndarray
     dets: np.ndarray
-    jacobians: Optional[np.ndarray]
+    jacobians: np.ndarray
     calls: int
 
 
 def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
-              trajectory_every: int, h: float) -> _Pass:
+              trajectory_every: int) -> _Pass:
     """Integrate one point once with RK4, carrying each step's Jacobian S.
 
-    The steps run in blocks of `_BLOCK`: through `_exact_block` for a field
-    with an exact tangent, through `_bundle_block` for any other.  Records
-    the trajectory every `trajectory_every` steps and, every `sample_every`
-    steps, the state, the flow-Jacobian determinant (by the chain rule, the
-    running product of det S, one `det` and one `cumprod` per block) and,
-    on the exact path, DX at the state from the block's [X | DX] call.
+    The steps run in blocks of `_BLOCK` through `_rk4_block`, with DX from
+    the source that `_dx_source` chooses once for the field.  Records the trajectory every
+    `trajectory_every` steps and, every `sample_every` steps, the state,
+    the flow-Jacobian determinant (by the chain rule, the running product
+    of det S, one `det` and one `cumprod` per block) and DX at the state.
     `calls` counts the field calls that stepped the path, four per
     completed step.  A non-finite state, step Jacobian or field value ends
     the pass, marked failed: the trajectory keeps the steps before it, and
@@ -253,22 +246,19 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
         raise ValueError("expected a single initial point")
     dt = float(dt)
     dim = x.shape[0]
-    exact = isinstance(field, GeneratedField) and field.exact_tangent
     traj_times = _sample_times(dt, steps, trajectory_every)
     times = _sample_times(dt, steps, sample_every)
     traj = np.empty((traj_times.size, dim))
     states = np.empty((times.size, dim))
     dets = np.empty(times.size)
-    jacs = np.empty((times.size, dim, dim)) if exact else None
+    jacs = np.empty((times.size, dim, dim))
     traj[0] = states[0] = x
     dets[0] = running = 1.0
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        X, dx = _dx_source(field)
         while True:
-            if exact:
-                xs, S, DX = _exact_block(field, x, dt, min(_BLOCK, steps - done))
-            else:
-                xs, S = _bundle_block(field, x, dt, min(_BLOCK, steps - done), h)
+            xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
             good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
             v = len(xs) if good.all() else int(np.argmin(good))  # valid steps
             # the block's states from step `done` on, and their running dets;
@@ -281,11 +271,10 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
             s = k % sample_every == 0
             states[k[s] // sample_every] = block[s]
             dets[k[s] // sample_every] = cum[s]
-            if exact:
-                jacs[k[s] // sample_every] = DX[: v + 1][s]
+            jacs[k[s] // sample_every] = DX[: v + 1][s]
             done += v
             # DX at the last valid state, which its sample needs
-            sampled = not exact or np.isfinite(DX[v]).all()
+            sampled = np.isfinite(DX[v]).all()
             failed = v < len(xs) or not sampled
             if failed or done == steps:
                 break
@@ -297,44 +286,30 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
                             last_valid_index=n_traj - 1 if failed else None,
                             dt=dt, field=field)
     return _Pass(trajectory, times[:n_samples], states[:n_samples], dets[:n_samples],
-                 None if jacs is None else jacs[:n_samples], 4 * done)
+                 jacs[:n_samples], 4 * done)
 
 
-def flow_jacobian_dets(field, x0, dt: float, steps: int, sample_every: int = 1,
-                       h: float = 1e-5) -> Tuple[np.ndarray, np.ndarray]:
+def flow_jacobian_dets(field, x0, dt: float, steps: int,
+                       sample_every: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """det of the flow map's Jacobian at each sample time.
 
     Chain rule: the determinant over [0, T] is the product of one-step
-    determinants det dPhi_dt(x_k) along the trajectory.  Each factor is
-    exact for a field with an exact tangent (see `_exact_block`) and taken
-    by central differences with per-coordinate step h * (1 + |x_a|)
-    otherwise (see `_bundle_step`).  Returns (times, dets); volume
+    determinants det dPhi_dt(x_k) along the trajectory, each the RK4 step
+    of the variational equation (see `_rk4_block`).  Its DX is exact for a
+    field with an exact tangent and taken by central differences of X
+    otherwise (see `_dx_source`).  Returns (times, dets); volume
     preservation means dets close to one.  Raises FloatingPointError if
     the flow or its Jacobian leaves the finite domain.
     """
-    result = _one_pass(field, x0, dt, steps, sample_every, max(steps, 1), h)
+    result = _one_pass(field, x0, dt, steps, sample_every, max(steps, 1))
     if result.trajectory.failed:
         raise FloatingPointError("the flow or its Jacobian left the finite domain")
     return result.times, result.dets
 
 
-def divergence_at(field, x, h: float = FD_STEP) -> np.ndarray:
+def divergence_at(field, x) -> np.ndarray:
     """Divergence of the field by central differences, step scaled per coordinate."""
-    return np.trace(_field_jacobian(field, as_points(x), h), axis1=-2, axis2=-1)
-
-
-def _field_jacobian(field, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """J[..., a, b] = dX^a/dx^b at (..., 2n) points by central differences,
-    step h (1 + |x_b|)."""
-    cols = []
-    for b in range(x.shape[-1]):
-        hb = h * (1.0 + np.abs(x[..., b]))
-        plus = x.copy()
-        minus = x.copy()
-        plus[..., b] += hb
-        minus[..., b] -= hb
-        cols.append((field(plus) - field(minus)) / (2.0 * hb[..., None]))
-    return np.stack(cols, axis=-1)
+    return np.trace(_fd_jacobian(field, as_points(x)), axis1=-2, axis2=-1)
 
 
 def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
@@ -346,7 +321,7 @@ def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
     return np.swapaxes(J, -1, -2) @ W + W @ J
 
 
-def lie_derivative_omega(field, x, n: Optional[int] = None, h: float = FD_STEP) -> KForm:
+def lie_derivative_omega(field, x) -> KForm:
     """L_X omega at x as a 2-form, from the finite-difference Jacobian of X.
 
     For the constant-coefficient symplectic form, (L_X omega)(u, v) =
@@ -355,9 +330,8 @@ def lie_derivative_omega(field, x, n: Optional[int] = None, h: float = FD_STEP) 
     system shows up as a q-q block.
     """
     pts = as_points(x)
-    if n is None:
-        n = pts.shape[-1] // 2
-    L = _lie_omega_matrix(_field_jacobian(field, pts, h), n)
+    n = pts.shape[-1] // 2
+    L = _lie_omega_matrix(_fd_jacobian(field, pts), n)
     coeffs = {}
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
@@ -438,8 +412,7 @@ class FlowDiagnostics:
     coefficient of the Lie derivative of the symplectic form.
     `trajectory` is the integrated curve at its own cadence, and
     `field_evaluations` counts the field calls that stepped it, four per
-    step, plus the finite-difference calls for DX at the samples of a field
-    without an exact tangent; the batched [X | DX] calls are not counted.
+    step; the batched calls that take DX are not counted.
     """
 
     times: np.ndarray
@@ -480,40 +453,34 @@ class FlowDiagnostics:
 
 def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
             observables: Optional[Dict[str, ScalarField]] = None,
-            jacobian_h: float = 1e-5,
             trajectory_every: Optional[int] = None) -> FlowDiagnostics:
     """Integrate once and collect volume, divergence, observable, and identity series.
 
     The trajectory is recorded every `trajectory_every` steps (default:
     `sample_every`) and the diagnostics every `sample_every` steps, both
     from the same integration.  The determinants, div X = tr DX and
-    L_X omega = DX^T W + W DX are exact for a field with an exact tangent,
-    with DX at the samples taken from the same batched [X | DX] calls as the
-    step Jacobians; any other field gets the finite-difference bundle (step
-    `jacobian_h`) and a finite-difference DX at the samples.  The observable named "H"
-    doubles as the energy series.  The identity series "lie_omega_max_abs"
-    records the largest coefficient of L_X omega at each sample; it stays
-    at zero iff the field is symplectic.  A run that leaves the finite
+    L_X omega = DX^T W + W DX all come from the DX that the step Jacobians
+    use (see `flow_jacobian_dets`), taken at the samples in the same batched
+    calls: exact for a field with an exact tangent, by central differences
+    of X otherwise.  The observable named "H" doubles as the energy series.
+    The identity series "lie_omega_max_abs" records the largest coefficient
+    of L_X omega at each sample; it stays at zero iff the field is
+    symplectic.  A run that leaves the finite
     domain returns failed=True, its trajectory cut at the last finite
     sample, and empty diagnostic series.
     """
     every = sample_every if trajectory_every is None else trajectory_every
-    run = _one_pass(field, x0, dt, steps, sample_every, every, jacobian_h)
-    calls = run.calls
+    run = _one_pass(field, x0, dt, steps, sample_every, every)
     if run.trajectory.failed:
         empty = np.zeros(0)
         return FlowDiagnostics(run.times, run.states, empty, empty, None, {}, {},
-                               True, run.trajectory, calls)
+                               True, run.trajectory, run.calls)
     jacs = run.jacobians
-    dim = run.states.shape[-1]
-    if jacs is None:  # no exact tangent: DX by central differences at the samples
-        jacs = np.array([_field_jacobian(field, state) for state in run.states])
-        calls += 2 * dim * len(run.states)
     div = np.trace(jacs, axis1=-2, axis2=-1)
-    lie = np.abs(_lie_omega_matrix(jacs, dim // 2)).max(axis=(-2, -1))
+    lie = np.abs(_lie_omega_matrix(jacs, jacs.shape[-1] // 2)).max(axis=(-2, -1))
     observables = observables or {}
     series = {name: np.asarray(f.value(run.states), dtype=float)
               for name, f in observables.items()}
     residuals = {"lie_omega_max_abs": lie}
     return FlowDiagnostics(run.times, run.states, run.dets, div, series.get("H"),
-                           series, residuals, False, run.trajectory, calls)
+                           series, residuals, False, run.trajectory, run.calls)

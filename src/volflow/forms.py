@@ -94,18 +94,20 @@ def as_points(x, dim: Optional[int] = None) -> np.ndarray:
     return pts
 
 
-def _fd_gradient(value_fn: Callable, pts: np.ndarray) -> np.ndarray:
-    """Central differences with per-coordinate step h = FD_STEP * (1 + |x_i|)."""
-    dim = pts.shape[-1]
-    out = np.empty(pts.shape)
-    for i in range(dim):
-        h = FD_STEP * (1.0 + np.abs(pts[..., i]))
+def _fd_jacobian(fn: Callable, pts: np.ndarray) -> np.ndarray:
+    """d fn/dx^b stacked on a new last axis, by central differences with step
+    h = FD_STEP * (1 + |x_b|): the gradient of a scalar fn, and of a field
+    the Jacobian J[..., a, b] = dX^a/dx^b."""
+    cols = []
+    for b in range(pts.shape[-1]):
+        h = FD_STEP * (1.0 + np.abs(pts[..., b]))
         plus = pts.copy()
         minus = pts.copy()
-        plus[..., i] = pts[..., i] + h
-        minus[..., i] = pts[..., i] - h
-        out[..., i] = (value_fn(plus) - value_fn(minus)) / (2.0 * h)
-    return out
+        plus[..., b] += h
+        minus[..., b] -= h
+        diff = np.asarray(fn(plus) - fn(minus))
+        cols.append(diff / (2.0 * (h if diff.ndim <= h.ndim else h[..., None])))
+    return np.stack(cols, axis=-1)
 
 
 class ScalarField:
@@ -134,7 +136,7 @@ class ScalarField:
         pts = as_points(x)
         if self._gradient_fn is not None:
             return np.asarray(self._gradient_fn(pts), dtype=float)
-        return _fd_gradient(self._value_fn, pts)
+        return _fd_jacobian(self._value_fn, pts)
 
     def partial(self, i: int) -> "ScalarField":
         """The i-th first partial as a field (finite-difference gradient)."""
@@ -631,6 +633,6 @@ def check_gradient(field: ScalarField, points, tol: float = 1e-6) -> float:
     """
     pts = as_points(points)
     analytic = field.gradient(pts)
-    fd = _fd_gradient(lambda xs: field.value(xs), pts)
+    fd = _fd_jacobian(field.value, pts)
     scaled = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
     return float(np.max(scaled))

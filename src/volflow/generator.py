@@ -42,7 +42,8 @@ class GeneratedField:
     """A vector field on R^{2n}, evaluated batched as shape (..., 2n).
 
     `kind` records how the field was built ("from-two-form", "hamiltonian",
-    "feng-shang").  Calling the object evaluates it.
+    "feng-shang").  Calling the object evaluates it, checked: a non-finite
+    output raises `FieldEvaluationError` naming its component (qdot1..pdotn).
     """
 
     def __init__(self, n: int, eval_fn: Callable, kind: str, source=None):
@@ -50,6 +51,7 @@ class GeneratedField:
         self._eval_fn = eval_fn
         self.kind = kind
         self.source = source
+        self._names = _names(self.n)
 
     def __call__(self, x) -> np.ndarray:
         pts = as_points(x, 2 * self.n)
@@ -58,7 +60,7 @@ class GeneratedField:
             raise ValueError(
                 f"field evaluation returned shape {out.shape}, expected {pts.shape}"
             )
-        return out
+        return _check_finite(out, self._names)
 
     @property
     def exact_tangent(self) -> bool:
@@ -68,7 +70,8 @@ class GeneratedField:
 
     def tangent_map(self) -> Callable[[np.ndarray], np.ndarray]:
         """The compiled map x -> [X | DX] on (..., 2n) points, column
-        2n + 2n a + b holding dX^a/dx^b; compiled on the first call."""
+        2n + 2n a + b holding dX^a/dx^b; compiled on the first call, and
+        unchecked: a non-finite entry is returned as it is."""
         if not self.exact_tangent:
             raise TypeError(f"a {self.kind!r} field has no exact tangent")
         return self._eval_fn.tangent_map()
@@ -77,7 +80,8 @@ class GeneratedField:
         """(X(x), DX(x)) with DX[..., a, b] = dX^a/dx^b, exact, from one
         monomial table."""
         pts = as_points(x, 2 * self.n)
-        out, dim = self.tangent_map()(pts), 2 * self.n
+        tangent_map, dim = self.tangent_map(), 2 * self.n
+        out = _check_finite(tangent_map(pts), tangent_map.names)
         return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
 
 
@@ -97,17 +101,22 @@ def _names(n: int):
     return [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
 
 
+def _check_finite(out: np.ndarray, names) -> np.ndarray:
+    """out, or a `FieldEvaluationError` naming its first non-finite column."""
+    if not np.isfinite(out).all():
+        raise FieldEvaluationError(names[np.argwhere(~np.isfinite(out))[0, -1]])
+    return out
+
+
 def _field(n: int, terms, kind: str, source) -> GeneratedField:
     """The field X^a = sum of sign * df/dx^d over `terms` (a, sign, f, d).
 
     When every f is a `Polynomial` on R^{2n} the field is compiled into a
     `_PolynomialField`.  Otherwise each call takes every distinct f's
-    gradient once and sums the terms; a non-finite output raises
-    `FieldEvaluationError` naming its component.
+    gradient once and sums the terms.
     """
     if all(isinstance(f, Polynomial) and f.dim == 2 * n for _, _, f, _ in terms):
         return GeneratedField(n, _PolynomialField(n, terms), kind, source)
-    names = _names(n)
 
     def eval_fn(pts):
         grads, out = {}, np.zeros(pts.shape)
@@ -115,8 +124,6 @@ def _field(n: int, terms, kind: str, source) -> GeneratedField:
             if f not in grads:
                 grads[f] = np.asarray(f.gradient(pts), dtype=float)
             out[..., a] += sign * grads[f][..., d]
-        if not np.isfinite(out).all():
-            raise FieldEvaluationError(names[np.argwhere(~np.isfinite(out))[0, -1]])
         return out
 
     return GeneratedField(n, eval_fn, kind, source)
@@ -188,7 +195,7 @@ class _MonomialMap:
         self.factors = np.take_along_axis(flat, order, axis=1)[:, :width].T
         self.names = names
 
-    def values(self, pts: np.ndarray) -> np.ndarray:
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
         x = pts.T
         dim = x.shape[0]
@@ -200,12 +207,6 @@ class _MonomialMap:
         for col in self.factors[1:]:
             monos *= table[col]
         return monos.T @ self.C
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        out = self.values(pts)
-        if not np.isfinite(out).all():
-            raise FieldEvaluationError(self.names[np.argwhere(~np.isfinite(out))[0, -1]])
-        return out
 
 
 class _PolynomialField(_MonomialMap):
@@ -278,7 +279,7 @@ class FengShangTensor:
         pts = as_points(x, 2 * self.n)
         return np.asarray(self.partial_fn(pts), dtype=float)
 
-    def check_antisymmetry(self, x, tol: float = 1e-9) -> float:
+    def check_antisymmetry(self, x) -> float:
         t = self.tensor(x)
         return float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
 

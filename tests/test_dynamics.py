@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from volflow import (
+    FieldEvaluationError,
     GeneratedField,
     KForm,
     Polynomial,
@@ -24,8 +25,10 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow.dynamics import _BLOCK, _bundle_step, _exact_block
+from volflow.dynamics import _BLOCK, _dx_source, _rk4_block
 from volflow.systems import (
+    COUPLED_K,
+    LinearSystemSpec,
     coupled_oscillators,
     drift_system,
     harmonic_oscillator,
@@ -152,15 +155,25 @@ def test_flow_dets_series_for_coupled_system():
     assert np.max(np.abs(dets - 1.0)) < 1e-8
 
 
+def _rk4_step_and_jacobian(X, x, dt):
+    """One `integrate` step from x, and its Jacobian by central differences of
+    that step over the bundle x +- 1e-5 (1 + |x_b|) e_b."""
+    dim = x.shape[0]
+    h = 1e-5 * (1.0 + np.abs(x))
+    bundle = np.concatenate([x + np.diag(h), x - np.diag(h)])
+    stepped = integrate(X, bundle, dt, 1).states[-1]
+    return integrate(X, x, dt, 1).states[-1], (stepped[:dim] - stepped[dim:]).T / (2.0 * h)
+
+
 def test_tangent_step_jacobian_matches_bundle():
     rng = np.random.default_rng(21)
     for n, seed in [(2, 1), (3, 2), (4, 3)]:
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            xs, S, _ = _exact_block(X, x, 1e-2, 1)
+            xs, S, _ = _rk4_block(*_dx_source(X), x, 1e-2, 1)
             exact_x, exact_S = xs[0], S[0]
-            fd_x, fd_S = _bundle_step(X, x, 1e-2, 1e-5)
+            fd_x, fd_S = _rk4_step_and_jacobian(X, x, 1e-2)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
             assert np.max(np.abs(exact_S - fd_S) / (1.0 + np.abs(fd_S))) <= 1e-7
 
@@ -185,7 +198,7 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         k3 = variational(z + 0.5 * dt * k2)
         k4 = variational(z + dt * k3)
         want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs, S, DX = _exact_block(X, x, dt, 1)
+        xs, S, DX = _rk4_block(*_dx_source(X), x, dt, 1)
         got = np.concatenate([xs[0], S[0].ravel()])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
         # the block also returns DX at x and at the state it ends at
@@ -411,8 +424,8 @@ def test_monitor_failed_run():
 
 
 def test_monitor_reports_bundle_overflow():
-    # the centre path stays finite (q = 0, p grows by dt per step), but the
-    # rows displaced in q overflow exp(1e8 q) at the first step
+    # the path stays finite (q = 0, p grows by dt per step), but exp(1e8 q)
+    # overflows at the points displaced in q for the central-difference DX
     def eval_fn(pts):
         return np.stack([np.zeros(pts.shape[:-1]), np.exp(1e8 * pts[..., 0])], axis=-1)
     field = GeneratedField(1, eval_fn, kind="test")
@@ -424,6 +437,25 @@ def test_monitor_reports_bundle_overflow():
     assert diag.trajectory.last_valid_index == 0
     assert np.array_equal(diag.trajectory.states, x0[None, :])
     assert np.array_equal(diag.trajectory.times, [0.0])
+
+
+def test_monitor_cuts_where_a_raising_field_raises():
+    # qdot = 1, pdot = 0, and a call that reaches q >= 0.5 raises: the last
+    # stage of step 5 does, and so does the batch of stage points that the
+    # block's DX is taken on, but steps 1 to 4 and their samples are kept
+    def eval_fn(pts):
+        if (pts[..., 0] >= 0.5).any():
+            raise FieldEvaluationError("qdot1")
+        return np.stack([np.ones(pts.shape[:-1]), np.zeros(pts.shape[:-1])], axis=-1)
+    field = GeneratedField(1, eval_fn, kind="test")
+    x0 = np.zeros(2)
+    traj = integrate(field, x0, dt=0.1, steps=20)
+    diag = monitor(field, x0, dt=0.1, steps=20, sample_every=2, trajectory_every=1)
+    assert diag.failed and traj.failed
+    assert diag.trajectory.last_valid_index == traj.last_valid_index == 4
+    assert np.array_equal(diag.trajectory.states, traj.states)
+    assert np.array_equal(diag.states, traj.states[::2])
+    assert diag.field_evaluations == 4 * 4
 
 
 def _overflowing_dx_field(c, moving):
@@ -444,6 +476,19 @@ def test_monitor_overflowing_jacobian_at_x0():
     assert diag.trajectory.last_valid_index == 0
     with pytest.raises(FloatingPointError):
         flow_jacobian_dets(X, x0, 1e-3, 50, sample_every=10)
+
+
+def test_monitor_takes_central_differences_when_a_tangent_coefficient_overflows():
+    # d^2/dq1^2 of A = 1e306 q1^20 has coefficient 3.8e308, which the compiled
+    # [X | DX] map cannot hold; at q1 = 0.85 the entry dpdot_2/dq^1 is 2.0e307
+    X = _overflowing_dx_field(1e306, moving=False)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(X.tangent_map().C).all()
+    steps = 100
+    diag = monitor(X, np.array([0.85, 0.0, 0.0, 0.0]), 1e-3, steps, sample_every=10)
+    assert not diag.failed
+    assert diag.field_evaluations == 4 * steps
+    assert diag.max_volume_error() == 0.0
 
 
 def test_monitor_overflowing_jacobian_after_first_block():
@@ -512,3 +557,22 @@ def test_monitor_exact_lie_and_divergence_for_coupled_system():
     assert np.all(diag.divergence_samples == 0.0)
     assert np.max(np.abs(diag.identity_residuals["lie_omega_max_abs"] - 0.5)) <= 1e-12
     assert diag.max_volume_error() <= 1e-12
+
+
+def test_monitor_same_linear_flow_on_both_dx_sources():
+    # one linear flow, stepped on the compiled field with its exact DX and on
+    # the direct field with DX by central differences (exact for a linear X)
+    exact = coupled_oscillators()
+    direct = LinearSystemSpec(COUPLED_K).direct_field()
+    assert exact.field.exact_tangent and not direct.exact_tangent
+    steps = 2000
+    runs = [monitor(field, exact.default_x0, dt=1e-3, steps=steps, sample_every=100,
+                    trajectory_every=10) for field in (exact.field, direct)]
+    assert np.array_equal(runs[0].trajectory.states, runs[1].trajectory.states)
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert np.max(np.abs(runs[0].volume_dets - runs[1].volume_dets)) <= 1e-12
+    lie = [run.identity_residuals["lie_omega_max_abs"] for run in runs]
+    assert np.max(np.abs(lie[0] - lie[1])) <= 1e-10
+    for run in runs:
+        assert not run.failed
+        assert run.field_evaluations == 4 * steps

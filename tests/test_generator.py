@@ -30,8 +30,8 @@ from volflow import (
     omega_power,
     d_at_point,
 )
-from volflow.dynamics import _field_jacobian
-from volflow.generator import _MonomialMap, _field_terms
+from volflow.forms import _fd_jacobian
+from volflow.generator import _MonomialMap, _check_finite, _field_terms
 from volflow.systems import random_polynomial
 
 
@@ -230,7 +230,7 @@ def test_tangent_matches_finite_differences(n):
             want = X(x)
             assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= 1e-13
             for i in np.ndindex(shape):
-                fd = _field_jacobian(X, x[i])
+                fd = _fd_jacobian(X, x[i])
                 assert np.max(np.abs(jac[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
 
 
@@ -287,7 +287,7 @@ def test_hamiltonian_field_of_a_polynomial_has_exact_tangent(n):
         assert np.max(np.abs(value - want) / (1.0 + np.abs(want))) <= 1e-13
         assert np.max(np.abs(X(x) - want) / (1.0 + np.abs(want))) <= 1e-13
         for i in range(5):
-            fd = _field_jacobian(X, x[i])
+            fd = _fd_jacobian(X, x[i])
             assert np.max(np.abs(jac[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
         assert np.max(np.abs(np.trace(jac, axis1=-2, axis2=-1))) <= 1e-14
 
@@ -343,7 +343,8 @@ def test_monomial_map_finite_check():
                        ["a", "b", "c"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(big(np.array([2.0, 0.0])), [1e308, 1e308, 2.0])
+        out = _check_finite(big(np.array([2.0, 0.0])), big.names)
+        assert np.array_equal(out, [1e308, 1e308, 2.0])
     # column b is 1e308 (q - p): +inf, then -inf; a NaN coordinate makes
     # every column NaN, so the first is named
     bad = _MonomialMap(2, [(0, 1.0, one), (1, 1.0, (q - p) * 1e308), (2, 1.0, one)],
@@ -351,7 +352,7 @@ def test_monomial_map_finite_check():
     for x, name in (([10.0, 0.0], "b"), ([0.0, 10.0], "b"), ([np.nan, 0.0], "a")):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FieldEvaluationError) as info:
-                bad(np.array(x))
+                _check_finite(bad(np.array(x)), bad.names)
         assert info.value.component == name
 
 
@@ -378,6 +379,25 @@ def test_generated_field_shapes_and_state():
     assert X.kind == "from-two-form"
     with pytest.raises(ValueError):
         X(np.zeros(3))
+
+
+def test_custom_field_is_checked_where_it_is_called():
+    # pdot1 = inf once q1 >= 0.5: the call names the component, and integrate
+    # cuts at the same row as on the raw, unchecked function
+    def eval_fn(pts):
+        return np.stack([np.ones(pts.shape[:-1]),
+                         np.where(pts[..., 0] >= 0.5, np.inf, 0.0)], axis=-1)
+
+    X = GeneratedField(1, eval_fn, kind="custom")
+    with pytest.raises(FieldEvaluationError) as info:
+        X(np.array([0.6, 0.0]))
+    assert info.value.component == "pdot1"
+    checked = integrate(X, np.zeros(2), dt=0.1, steps=20)
+    with np.errstate(invalid="ignore"):
+        raw = integrate(eval_fn, np.zeros(2), dt=0.1, steps=20)
+    assert checked.failed and raw.failed
+    assert checked.last_valid_index == raw.last_valid_index == 4
+    assert np.array_equal(checked.states, raw.states)
 
 
 # ------------------------------------------------------------- Hamiltonian case
