@@ -16,17 +16,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .exterior import d_at_point, omega_power, solve_nu_n, wedge
 from .forms import Polynomial, TwoFormField, hamiltonian_two_form
-from .generator import generate
+from .generator import _names, generate
 from .dynamics import monitor
-from .systems import build_system, coupled_oscillators, random_two_form
-from .verify import TOLERANCES, run_all
+from .systems import _parameters, build_system, coupled_oscillators, random_two_form
+from .verify import _oracle_solve, run_all
 
 SYMPLECTIC_THRESHOLD = 1e-6
 
@@ -136,10 +135,10 @@ def cmd_simulate(args) -> int:
             with open(args.config) as fh:
                 config_data = json.load(fh)
         cfg = RunConfig.from_sources(config_data, args)
-        params = dict(cfg.system_params)
-        if cfg.system_name == "random-alpha":
+        params, accepted = dict(cfg.system_params), _parameters(cfg.system_name)
+        if "seed" in accepted:
             params.setdefault("seed", _seed_fallback(cfg.seed, 0))
-        if cfg.n is not None:
+        if cfg.n is not None and "n" in accepted:
             params.setdefault("n", int(cfg.n))
         system = build_system(cfg.system_name, **params)
         if cfg.n is not None and int(cfg.n) != system.n:
@@ -264,14 +263,11 @@ def cmd_oracle(args) -> int:
         return USAGE_ERROR
 
     direct = generate(alpha)(point)
-    target = (n * (n - 1)) * wedge(d_at_point(alpha.jet_at(point)),
-                                   omega_power(n, n - 2))
-    solved = solve_nu_n(target, n)
+    solved, _ = _oracle_solve(alpha, point)
     residual = np.abs(direct - solved)
-    labels = [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
     print(f"alpha = {args.alpha}, n = {n}, point = {_format_row(point)}")
     print(f"{'component':>10s} {'formula':>24s} {'oracle solve':>24s} {'residual':>12s}")
-    for lab, a, b, r in zip(labels, direct, solved, residual):
+    for lab, a, b, r in zip(_names(n), direct, solved, residual):
         print(f"{lab:>10s} {a:24.17g} {b:24.17g} {r:12.3e}")
     print(f"max residual: {float(residual.max()):.3e}")
     return 0
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed (default: VOLFLOW_SEED or 42)")
     chk.add_argument("--report", help="write the JSON report here")
     chk.add_argument("--dt", type=float, default=1e-3,
-                     help="integration step for the flow suites (default 1e-3)")
+                     help="integration step for the volume suite (default 1e-3)")
     chk.add_argument("--horizon", type=float, default=10.0,
                      help="integration horizon for the volume suite (default 10)")
     chk.set_defaults(func=cmd_check)

@@ -147,13 +147,13 @@ def _dx_source(field) -> Tuple[Callable, Callable]:
     """The unchecked X of `field` and its DX source for the step Jacobians.
 
     The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
-    compiled [X | DX] map when the field has one with finite coefficients,
-    NaN where a row is not finite; otherwise central differences of X.
+    compiled [X | DX] map when the field has an exact tangent, NaN where a
+    row is not finite; otherwise central differences of X.
     """
     if not isinstance(field, GeneratedField):
         return field, partial(_fd_dx, field)
     X = field._eval_fn
-    if field.exact_tangent and np.isfinite(field.tangent_map().C).all():
+    if field.exact_tangent:
         return X, partial(_exact_dx, field.tangent_map())
     return X, partial(_fd_dx, X)
 

@@ -216,7 +216,9 @@ class Polynomial(ScalarField):
             raise ValueError("exponent tuples must have one entry per coordinate")
         if np.any(exps < 0):
             raise ValueError("exponents must be non-negative")
-        self._exps, self._coeffs = _normalize_terms(exps, coeffs, dim)
+        # duplicate rows merged, zero coefficients dropped, rows sorted lexically
+        self._exps, C = _merge_rows(exps, coeffs, 0, 1)
+        self._coeffs = C[:, 0]
         self._partials: Dict[int, "Polynomial"] = {}
         self._gradient_terms = None
 
@@ -235,12 +237,10 @@ class Polynomial(ScalarField):
             # every first partial's terms on one exponent basis, and an
             # (m, dim) coefficient matrix whose column i is d/dx^i
             parts = [self.partial(i) for i in range(self.dim)]
-            basis, inverse = np.unique(np.vstack([f._exps for f in parts]), axis=0,
-                                       return_inverse=True)
-            G = np.zeros((basis.shape[0], self.dim))
             cols = np.repeat(np.arange(self.dim), [f._coeffs.size for f in parts])
-            G[inverse.ravel(), cols] = np.concatenate([f._coeffs for f in parts])
-            self._gradient_terms = basis, G
+            self._gradient_terms = _merge_rows(
+                np.vstack([f._exps for f in parts]),
+                np.concatenate([f._coeffs for f in parts]), cols, self.dim)
         exps, G = self._gradient_terms
         monos = np.prod(pts[..., None, :] ** exps, axis=-1)
         if np.isfinite(monos).all():
@@ -336,15 +336,19 @@ class Polynomial(ScalarField):
         return f"Polynomial(dim={self.dim}, terms={self.terms()!r})"
 
 
-def _normalize_terms(exps: np.ndarray, coeffs: np.ndarray, dim: int):
-    """Merge duplicate exponent rows, drop zero coefficients, sort lexically."""
-    if exps.shape[0] == 0:
-        return np.zeros((0, dim), dtype=np.int64), np.zeros(0)
-    uniq, inverse = np.unique(exps, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inverse, coeffs)
-    keep = merged != 0.0
-    return uniq[keep], merged[keep]
+def _merge_rows(exps: np.ndarray, coeffs: np.ndarray, cols, width: int):
+    """Sum the coefficients that share an exponent row and an output column.
+
+    Returns (basis, C): basis holds the distinct rows of `exps` in lexical
+    order and C[k, c] the sum of the `coeffs` whose row is basis[k] and
+    whose column (`cols`, one per coefficient, or one int for all) is c.
+    Rows of C that are all zero are dropped, with their basis rows.
+    """
+    basis, inverse = np.unique(exps, axis=0, return_inverse=True)
+    C = np.zeros((basis.shape[0], width))
+    np.add.at(C, (inverse.ravel(), cols), coeffs)
+    keep = np.any(C != 0.0, axis=1)
+    return basis[keep], C[keep]
 
 
 def poly_variables(n: int):

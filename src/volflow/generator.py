@@ -22,6 +22,7 @@ from .forms import (
     Polynomial,
     ScalarField,
     TwoFormField,
+    _merge_rows,
     as_points,
     trace_field,
     traceless_part,
@@ -65,13 +66,16 @@ class GeneratedField:
     @property
     def exact_tangent(self) -> bool:
         """True when `tangent` is available: the field was compiled from
-        `Polynomial`s (a 2-form's components, or a Hamiltonian)."""
-        return hasattr(self._eval_fn, "tangent_map")
+        `Polynomial`s (a 2-form's components, or a Hamiltonian) and its
+        compiled [X | DX] map, which this compiles, has finite coefficients."""
+        return (hasattr(self._eval_fn, "tangent_map")
+                and bool(np.isfinite(self._eval_fn.tangent_map().C).all()))
 
     def tangent_map(self) -> Callable[[np.ndarray], np.ndarray]:
         """The compiled map x -> [X | DX] on (..., 2n) points, column
         2n + 2n a + b holding dX^a/dx^b; compiled on the first call, and
-        unchecked: a non-finite entry is returned as it is."""
+        unchecked: a non-finite entry is returned as it is.  A field without
+        an exact tangent raises `TypeError`."""
         if not self.exact_tangent:
             raise TypeError(f"a {self.kind!r} field has no exact tangent")
         return self._eval_fn.tangent_map()
@@ -179,12 +183,9 @@ class _MonomialMap:
             exps.append(g._exps)
             coeffs.append(sign * g._coeffs)
             cols.append(np.full(g._coeffs.shape, col))
-        basis, inverse = np.unique(np.vstack(exps), axis=0, return_inverse=True)
-        C = np.zeros((basis.shape[0], len(names)))
-        np.add.at(C, (inverse.ravel(), np.concatenate(cols)), np.concatenate(coeffs))
-        keep = np.any(C != 0.0, axis=1)  # drop monomials whose terms all cancelled
-        self.C = C[keep]
-        basis = basis[keep]
+        # monomials whose terms all cancel are dropped
+        basis, self.C = _merge_rows(np.vstack(exps), np.concatenate(coeffs),
+                                    np.concatenate(cols), len(names))
         self.deg = int(basis.max(initial=0))
         # each row's power-table indices e * dim + d, the non-unit ones
         # moved to the front in coordinate order, the rest pointing at row 0
@@ -227,11 +228,13 @@ class _PolynomialField(_MonomialMap):
         self._tangent_map = None
 
     def tangent_map(self) -> _MonomialMap:
-        """The compiled [X | DX] map; column dim + a * dim + b is dX^a/dx^b."""
+        """The compiled [X | DX] map; column dim + a * dim + b is dX^a/dx^b.
+        A second partial whose coefficient overflows holds inf there."""
         if self._tangent_map is None:
             dim = len(self.names)
-            second = [(dim + a * dim + b, sign, g.partial(b))
-                      for a, sign, g in self.partials for b in range(dim)]
+            with np.errstate(over="ignore"):
+                second = [(dim + a * dim + b, sign, g.partial(b))
+                          for a, sign, g in self.partials for b in range(dim)]
             names = self.names + [f"d{x}/d{c}" for x in self.names for c in self.coords]
             self._tangent_map = _MonomialMap(dim, self.partials + second, names)
         return self._tangent_map

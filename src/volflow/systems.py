@@ -12,8 +12,9 @@ preserves volume.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -356,21 +357,21 @@ def zero_system(n: int = 2) -> SystemInstance:
     )
 
 
-def _build_harmonic(n=2, omega_freqs=None, **_):
+def _build_harmonic(n=2, omega_freqs=None):
     return harmonic_oscillator(int(n), omega_freqs)
 
 
-def _build_coupled(**_):
+def _build_coupled():
     return coupled_oscillators()
 
 
-def _build_linear(k=None, **_):
+def _build_linear(k=None):
     if k is None:
         raise ValueError("linear system requires params.k (a square matrix)")
     return linear_system(np.asarray(k, dtype=float))
 
 
-def _build_drift(n=2, coupling=0.25, a=None, q0=None, **_):
+def _build_drift(n=2, coupling=0.25, a=None, q0=None):
     if a is None:
         n = int(n)
         if n < 2:
@@ -381,11 +382,11 @@ def _build_drift(n=2, coupling=0.25, a=None, q0=None, **_):
     return drift_system(np.asarray(a, dtype=float), q0)
 
 
-def _build_random(n=2, seed=0, degree=3, scale=0.1, **_):
+def _build_random(n=2, seed=0, degree=3, scale=0.1):
     return random_alpha_system(int(n), int(seed), int(degree), float(scale))
 
 
-def _build_zero(n=2, **_):
+def _build_zero(n=2):
     return zero_system(int(n))
 
 
@@ -399,11 +400,20 @@ SYSTEM_BUILDERS = {
 }
 
 
-def build_system(name: str, **params) -> SystemInstance:
-    """Construct a registered system by name with keyword parameters."""
-    try:
-        builder = SYSTEM_BUILDERS[name]
-    except KeyError:
+def _parameters(name: str) -> Tuple[str, ...]:
+    """The parameter names the system `name` takes."""
+    if name not in SYSTEM_BUILDERS:
         known = ", ".join(sorted(SYSTEM_BUILDERS))
-        raise ValueError(f"unknown system {name!r}; known systems: {known}") from None
-    return builder(**params)
+        raise ValueError(f"unknown system {name!r}; known systems: {known}")
+    return tuple(inspect.signature(SYSTEM_BUILDERS[name]).parameters)
+
+
+def build_system(name: str, **params) -> SystemInstance:
+    """Construct a registered system by name with keyword parameters; a
+    parameter the system does not take raises `ValueError` naming it."""
+    accepted = _parameters(name)
+    for key in params:
+        if key not in accepted:
+            raise ValueError(f"system {name!r} has no parameter {key!r}; "
+                             f"it takes: {', '.join(accepted) or 'none'}")
+    return SYSTEM_BUILDERS[name](**params)

@@ -150,6 +150,27 @@ def test_simulate_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("system, bad", [
+    ({"name": "random-alpha", "params": {"n": 2, "sed": 3}}, "sed"),
+    ({"name": "coupled-oscillators", "params": {"k": [[1.0, 0.0], [0.0, 1.0]]}}, "k"),
+])
+def test_simulate_rejects_a_parameter_the_system_does_not_take(tmp_path, capsys,
+                                                               system, bad):
+    cfg = _zero_config(tmp_path, system=system, x0=None)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(bad) in err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_top_level_n_only_cross_checks_a_system_without_n(tmp_path, capsys):
+    cfg = _zero_config(tmp_path, system={"name": "coupled-oscillators"}, x0=None, n=2)
+    assert main(["simulate", "--config", cfg]) == 0
+    cfg = _zero_config(tmp_path, system={"name": "coupled-oscillators"}, x0=None, n=3)
+    assert main(["simulate", "--config", cfg]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_simulate_rejects_non_finite_x0(tmp_path, capsys, bad):
     cfg = _zero_config(tmp_path, x0=[float(bad), 0.5, -0.2, 0.3])

@@ -273,6 +273,21 @@ def test_non_polynomial_fields_have_no_exact_tangent():
             field.tangent(np.zeros(4))
 
 
+def test_overflowed_tangent_coefficient_means_no_exact_tangent():
+    # d^2/dq1^2 of A = 1e306 q1^20 has coefficient 3.8e308, which overflows
+    # when the [X | DX] map is compiled; X itself (pdot_2 = 2e307 q1^19) is fine
+    A = {(0, 1): Polynomial(4, {(20, 0, 0, 0): 1e306})}
+    x = np.array([0.85, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = generate(TwoFormField(2, A=A))
+        assert not X.exact_tangent
+        for call in (lambda: X.tangent(x), X.tangent_map):
+            with pytest.raises(TypeError):
+                call()
+        assert np.isfinite(X(x)).all()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hamiltonian_field_of_a_polynomial_has_exact_tangent(n):
     rng = np.random.default_rng(70 + n)

@@ -251,6 +251,12 @@ def test_build_system_registry():
     assert rnd.n == 2
     with pytest.raises(ValueError):
         build_system("no-such-system")
+    # a misspelt or foreign parameter is refused by name, not ignored
+    for name, params, bad in (("random-alpha", {"n": 2, "sed": 3}, "sed"),
+                              ("zero", {"m": 2}, "m"),
+                              ("coupled-oscillators", {"n": 2}, "n")):
+        with pytest.raises(ValueError, match=repr(bad)):
+            build_system(name, **params)
 
 
 def test_built_systems_have_exact_tangent():
