@@ -14,6 +14,7 @@ exterior product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -176,21 +177,20 @@ def _fd_dx(X, pts: np.ndarray) -> np.ndarray:
 
 
 def _rk4_block(X, dx, x: np.ndarray, dt: float,
-               steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+               steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """Up to `steps` RK4 steps from x, and their Jacobians.
 
     The steps run on the unchecked field X, recording each stage point, and
     stop after the first non-finite state; a stage whose call raised is NaN.
     One call of the DX source `dx` (see `_dx_source`) on the stage points
-    and the last state then gives every DX, and each step Jacobian S is RK4
-    on the variational equation (x, V)' = (X(x), DX(x) V) from (x, I), all
-    steps at once: with DX_i at stage i, dk_1 = DX_1,
-    dk_2 = DX_2 (I + dt/2 dk_1), dk_3 = DX_3 (I + dt/2 dk_2),
-    dk_4 = DX_4 (I + dt dk_3) and S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
+    then gives every DX, and each step Jacobian S is RK4 on the variational
+    equation (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with
+    DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
+    dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
+    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
 
-    Returns the (b, 2n) states after each step, their (b, 2n, 2n) S and
-    the (b + 1, 2n, 2n) DX at x and at those states.  A DX that is not
-    finite at a stage makes its step's S non-finite.
+    Returns the (b, 2n) states after each step and their (b, 2n, 2n) S.
+    A DX that is not finite at a stage makes its step's S non-finite.
     """
     stages = []
 
@@ -208,14 +208,13 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float,
         if not np.isfinite(x).all():
             break
     dim = x.shape[0]
-    DX = dx(np.array(stages + [x]))
-    D = DX[:-1].reshape(-1, 4, dim, dim)  # the four stages of each step
+    D = dx(np.array(stages)).reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
     dk2 = D[:, 1] @ (eye + 0.5 * dt * D[:, 0])
     dk3 = D[:, 2] @ (eye + 0.5 * dt * dk2)
     dk4 = D[:, 3] @ (eye + dt * dk3)
     S = eye + (dt / 6.0) * (D[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
-    return np.array(xs).reshape(-1, dim), S, DX[::4]
+    return np.array(xs).reshape(-1, dim), S
 
 
 class _Pass(NamedTuple):
@@ -232,61 +231,50 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     """Integrate one point once with RK4, carrying each step's Jacobian S.
 
     The steps run in blocks of `_BLOCK` through `_rk4_block`, with DX from
-    the source that `_dx_source` chooses once for the field.  Records the trajectory every
-    `trajectory_every` steps and, every `sample_every` steps, the state,
-    the flow-Jacobian determinant (by the chain rule, the running product
-    of det S, one `det` and one `cumprod` per block) and DX at the state.
-    `calls` counts the field calls that stepped the path, four per
-    completed step.  A non-finite state, step Jacobian or field value ends
-    the pass, marked failed: the trajectory keeps the steps before it, and
-    the samples also drop a last state whose DX is not finite.
+    the source that `_dx_source` chooses once for the field.  Stepping keeps
+    every g-th state, g = gcd(`sample_every`, `trajectory_every`), and every
+    step's det S.  Afterwards the trajectory (every `trajectory_every` steps)
+    and the samples (every `sample_every` steps) are taken from those
+    states, the flow-Jacobian determinants are one `cumprod` of the det S
+    (the chain rule), and one call of the DX source gives DX at the sample
+    states and at the last state.  `calls` counts the field calls that
+    stepped the path, four per completed step.  A non-finite state or step
+    Jacobian ends the pass, marked failed: the trajectory keeps the steps
+    before it.  A last state whose DX is not finite also marks the pass
+    failed, and its sample is dropped.
     """
     x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
     if x.ndim != 1:
         raise ValueError("expected a single initial point")
     dt = float(dt)
-    dim = x.shape[0]
-    traj_times = _sample_times(dt, steps, trajectory_every)
-    times = _sample_times(dt, steps, sample_every)
-    traj = np.empty((traj_times.size, dim))
-    states = np.empty((times.size, dim))
-    dets = np.empty(times.size)
-    jacs = np.empty((times.size, dim, dim))
-    traj[0] = states[0] = x
-    dets[0] = running = 1.0
-    done = 0
+    g = math.gcd(sample_every, trajectory_every)
+    kept, step_dets = [x[None, :]], [np.ones(1)]
+    done, failed = 0, False
     with np.errstate(over="ignore", invalid="ignore"):
         X, dx = _dx_source(field)
-        while True:
-            xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
+        while done < steps and not failed:
+            xs, S = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
             good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
             v = len(xs) if good.all() else int(np.argmin(good))  # valid steps
-            # the block's states from step `done` on, and their running dets;
-            # rows past the cut made below are written but not returned
-            k = done + np.arange(v + 1)
-            block = np.concatenate([x[None, :], xs[:v]])
-            cum = np.cumprod(np.concatenate([[running], np.linalg.det(S[:v])]))
-            t = k % trajectory_every == 0
-            traj[k[t] // trajectory_every] = block[t]
-            s = k % sample_every == 0
-            states[k[s] // sample_every] = block[s]
-            dets[k[s] // sample_every] = cum[s]
-            jacs[k[s] // sample_every] = DX[: v + 1][s]
+            kept.append(xs[:v][(done + 1 + np.arange(v)) % g == 0])
+            step_dets.append(np.linalg.det(S[:v]))
             done += v
-            # DX at the last valid state, which its sample needs
-            sampled = np.isfinite(DX[v]).all()
-            failed = v < len(xs) or not sampled
-            if failed or done == steps:
-                break
-            x, running = xs[-1], cum[-1]
-    last_sample = done if sampled else max(done - 1, 0)
+            failed = v < len(xs)
+            x = xs[v - 1] if v else x
+        states = np.concatenate(kept)
+        samples = states[:: sample_every // g]
+        DX = dx(np.concatenate([samples, x[None, :]]))
+    sampled = np.isfinite(DX[-1]).all()
+    failed = failed or not sampled
     n_traj = done // trajectory_every + 1
-    n_samples = last_sample // sample_every + 1
-    trajectory = Trajectory(traj_times[:n_traj], traj[:n_traj], failed=failed,
+    n_samples = (done if sampled else max(done - 1, 0)) // sample_every + 1
+    trajectory = Trajectory(_sample_times(dt, steps, trajectory_every)[:n_traj],
+                            states[:: trajectory_every // g], failed=failed,
                             last_valid_index=n_traj - 1 if failed else None,
                             dt=dt, field=field)
-    return _Pass(trajectory, times[:n_samples], states[:n_samples], dets[:n_samples],
-                 jacs[:n_samples], 4 * done)
+    dets = np.cumprod(np.concatenate(step_dets))[::sample_every]
+    return _Pass(trajectory, _sample_times(dt, steps, sample_every)[:n_samples],
+                 samples[:n_samples], dets[:n_samples], DX[:n_samples], 4 * done)
 
 
 def flow_jacobian_dets(field, x0, dt: float, steps: int,
@@ -459,15 +447,15 @@ def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
     The trajectory is recorded every `trajectory_every` steps (default:
     `sample_every`) and the diagnostics every `sample_every` steps, both
     from the same integration.  The determinants, div X = tr DX and
-    L_X omega = DX^T W + W DX all come from the DX that the step Jacobians
-    use (see `flow_jacobian_dets`), taken at the samples in the same batched
-    calls: exact for a field with an exact tangent, by central differences
-    of X otherwise.  The observable named "H" doubles as the energy series.
-    The identity series "lie_omega_max_abs" records the largest coefficient
-    of L_X omega at each sample; it stays at zero iff the field is
-    symplectic.  A run that leaves the finite
-    domain returns failed=True, its trajectory cut at the last finite
-    sample, and empty diagnostic series.
+    L_X omega = DX^T W + W DX all come from the DX source that the step
+    Jacobians use (see `flow_jacobian_dets`), called once at the samples
+    after stepping: exact for a field with an exact tangent, by central
+    differences of X otherwise.  The observable named "H" doubles as the
+    energy series.  The identity series "lie_omega_max_abs" records the
+    largest coefficient of L_X omega at each sample; it stays at zero iff
+    the field is symplectic.  A run that leaves the finite domain returns
+    failed=True, its trajectory cut at the last finite sample, and empty
+    diagnostic series.
     """
     every = sample_every if trajectory_every is None else trajectory_every
     run = _one_pass(field, x0, dt, steps, sample_every, every)

@@ -125,10 +125,6 @@ class KForm:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int, degree: int) -> "KForm":
-        return cls(dim, degree)
-
-    @classmethod
     def constant(cls, dim: int, value: float) -> "KForm":
         """Degree-0 form (a scalar); omega^0 is KForm.constant(dim, 1.0)."""
         return cls(dim, 0, {(): float(value)})
@@ -192,9 +188,6 @@ class KForm:
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + other.scaled(-1.0)
-
-    def wedge(self, other: "KForm") -> "KForm":
-        return wedge(self, other)
 
     # -- display -------------------------------------------------------------
 
@@ -313,17 +306,24 @@ def nu_k(x: np.ndarray, n: int, k: int) -> KForm:
 
 @lru_cache(maxsize=None)
 def _nu_n_system(n: int):
-    """Basis tuples of degree 2n-1 and the matrix of nu_n over them."""
-    dim = 2 * n
-    basis = list(itertools.combinations(range(dim), dim - 1))
-    row = {key: r for r, key in enumerate(basis)}
-    mat = np.zeros((dim, dim))
-    for col in range(dim):
-        e = np.zeros(dim)
-        e[col] = 1.0
-        for key, c in nu_k(e, n, n).coeffs.items():
-            mat[row[key], col] = c
-    return basis, row, mat
+    """Basis tuples of degree 2n-1, their rows and the matrix of nu_n over them."""
+    return _matrix_of([nu_k(e, n, n) for e in np.eye(2 * n)])
+
+
+def _matrix_of(images):
+    """The matrix of a linear map from the forms it sends the basis to.
+
+    Rows are the sorted union of the images' index tuples and column c holds
+    the coefficients of images[c].  Returns (row tuples, their row numbers,
+    matrix).
+    """
+    keys = sorted({key for image in images for key in image.coeffs})
+    row = {key: r for r, key in enumerate(keys)}
+    mat = np.zeros((len(keys), len(images)))
+    for c, image in enumerate(images):
+        for key, val in image.coeffs.items():
+            mat[row[key], c] = val
+    return keys, row, mat
 
 
 def solve_nu_n(target: KForm, n: int) -> np.ndarray:
@@ -504,14 +504,7 @@ def verify_lemma1(n: int, k: int, trials: int, rng=None) -> Lemma1Report:
     if rng is None:
         rng = np.random.default_rng(0)
     dim = 2 * n
-    keys = sorted(
-        {key for col in range(dim) for key in _nu_column(n, k, col)}
-    )
-    row = {key: r for r, key in enumerate(keys)}
-    mat = np.zeros((len(keys), dim))
-    for col in range(dim):
-        for key, c in _nu_column(n, k, col).items():
-            mat[row[key], col] = c
+    keys, _, mat = _matrix_of([nu_k(e, n, k) for e in np.eye(dim)])
     sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1]) if keys else 0.0
 
     zero_ok = nu_k(np.zeros(dim), n, k).is_zero(0.0)
@@ -528,36 +521,12 @@ def verify_lemma1(n: int, k: int, trials: int, rng=None) -> Lemma1Report:
     return Lemma1Report(n, k, trials, float(min_ratio), sigma_min, bool(zero_ok), bool(passed))
 
 
-def _nu_column(n: int, k: int, col: int) -> Dict[Index, float]:
-    e = np.zeros(2 * n)
-    e[col] = 1.0
-    return nu_k(e, n, k).coeffs
-
-
-@lru_cache(maxsize=None)
-def _two_form_basis(n: int):
-    return list(itertools.combinations(range(2 * n), 2))
-
-
 @lru_cache(maxsize=None)
 def _iota_system(n: int, k: int):
     """Matrix of a -> a ^ omega^k over the 2-form coefficient basis."""
-    dim = 2 * n
-    cols = _two_form_basis(n)
-    target_keys = sorted(
-        {
-            key
-            for pair in cols
-            for key in wedge(KForm(dim, 2, {pair: 1.0}), omega_power(n, k)).coeffs
-        }
-    )
-    row = {key: r for r, key in enumerate(target_keys)}
-    mat = np.zeros((len(target_keys), len(cols)))
-    for c, pair in enumerate(cols):
-        image = wedge(KForm(dim, 2, {pair: 1.0}), omega_power(n, k))
-        for key, val in image.coeffs.items():
-            mat[row[key], c] = val
-    return cols, target_keys, row, mat
+    cols = list(itertools.combinations(range(2 * n), 2))
+    images = [wedge(KForm(2 * n, 2, {pair: 1.0}), omega_power(n, k)) for pair in cols]
+    return (cols,) + _matrix_of(images)
 
 
 def verify_lemma2(n: int, k: int, trials: int, rng=None) -> Lemma2Report:
@@ -577,7 +546,7 @@ def verify_lemma2(n: int, k: int, trials: int, rng=None) -> Lemma2Report:
     cols, target_keys, row, mat = _iota_system(n, k)
     sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1])
 
-    zero_ok = wedge(KForm.zero(dim, 2), omega_power(n, k)).is_zero(0.0)
+    zero_ok = wedge(KForm(dim, 2), omega_power(n, k)).is_zero(0.0)
     min_ratio = float("inf")
     for _ in range(trials):
         vec = rng.uniform(-1.0, 1.0, len(cols))
@@ -625,7 +594,7 @@ def verify_wedge_identities(n: int, tol: float = 1e-12) -> WedgeIdentityReport:
         for j in range(n):
             for k in range(n):
                 lhs1 = wedge(wedge(wedge(dp_form(n, i), dp_form(n, j)), dq_form(n, k)), w_nm2)
-                rhs1 = KForm.zero(2 * n, 2 * n - 1)
+                rhs1 = KForm(2 * n, 2 * n - 1)
                 if k == j:
                     rhs1 = rhs1 + wedge(dp_form(n, i), w_nm1).scaled(1.0 / (n - 1))
                 if k == i:
@@ -633,7 +602,7 @@ def verify_wedge_identities(n: int, tol: float = 1e-12) -> WedgeIdentityReport:
                 max_res = max(max_res, (lhs1 - rhs1).max_abs())
 
                 lhs2 = wedge(wedge(wedge(dp_form(n, i), dq_form(n, j)), dq_form(n, k)), w_nm2)
-                rhs2 = KForm.zero(2 * n, 2 * n - 1)
+                rhs2 = KForm(2 * n, 2 * n - 1)
                 if j == i:
                     rhs2 = rhs2 + wedge(dq_form(n, k), w_nm1).scaled(1.0 / (n - 1))
                 if k == i:

@@ -220,7 +220,6 @@ class Polynomial(ScalarField):
         self._exps, C = _merge_rows(exps, coeffs, 0, 1)
         self._coeffs = C[:, 0]
         self._partials: Dict[int, "Polynomial"] = {}
-        self._gradient_terms = None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -233,20 +232,6 @@ class Polynomial(ScalarField):
 
     def gradient(self, x) -> np.ndarray:
         pts = as_points(x, self.dim)
-        if self._gradient_terms is None:
-            # every first partial's terms on one exponent basis, and an
-            # (m, dim) coefficient matrix whose column i is d/dx^i
-            parts = [self.partial(i) for i in range(self.dim)]
-            cols = np.repeat(np.arange(self.dim), [f._coeffs.size for f in parts])
-            self._gradient_terms = _merge_rows(
-                np.vstack([f._exps for f in parts]),
-                np.concatenate([f._coeffs for f in parts]), cols, self.dim)
-        exps, G = self._gradient_terms
-        monos = np.prod(pts[..., None, :] ** exps, axis=-1)
-        if np.isfinite(monos).all():
-            return monos @ G
-        # in the shared matmul an overflowing monomial would also turn the
-        # partials that lack it into NaN (0 * inf): take each on its own
         return np.stack([self.partial(i).value(pts) for i in range(self.dim)], axis=-1)
 
     def partial(self, i: int) -> "Polynomial":
@@ -261,7 +246,7 @@ class Polynomial(ScalarField):
             # lexically sorted and with nonzero coefficients: already normal.
             out = Polynomial.__new__(Polynomial)
             out.dim, out._exps, out._coeffs = self.dim, exps, coeffs
-            out._partials, out._gradient_terms = {}, None
+            out._partials = {}
             self._partials[i] = out
         return self._partials[i]
 
@@ -541,17 +526,16 @@ def linear_system_two_form(spec) -> TwoFormField:
     n = spec.n
     if n < 2:
         raise ValueError("the 2-form route requires n >= 2; use the direct field for n = 1")
-    base = hamiltonian_two_form(spec.hamiltonian(), n)
+    return hamiltonian_two_form(spec.hamiltonian(), n) + _antisymmetric_two_form(spec.a)
+
+
+def _antisymmetric_two_form(a: np.ndarray) -> TwoFormField:
+    """The 2-form Q_ij = -a_ij p_k q^k of an antisymmetric (n, n) matrix a."""
+    n = a.shape[0]
     q, p = poly_variables(n)
     pq = sum((p[k] * q[k] for k in range(n)), Polynomial.zero(2 * n))
-    Q = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if spec.a[i, j] != 0.0:
-                Q[(i, j)] = pq * (-spec.a[i, j])
-    if not Q:
-        return base
-    return base + TwoFormField(n, Q=Q)
+    return TwoFormField(n, Q={(i, j): pq * (-a[i, j]) for i in range(n)
+                              for j in range(i + 1, n) if a[i, j] != 0.0})
 
 
 def trace_field(alpha: TwoFormField) -> ScalarField:

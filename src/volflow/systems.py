@@ -23,6 +23,7 @@ from .forms import (
     Polynomial,
     ScalarField,
     TwoFormField,
+    _antisymmetric_two_form,
     linear_system_two_form,
     poly_variables,
 )
@@ -236,16 +237,7 @@ def drift_system(a, q0=None) -> SystemInstance:
     if q0.shape != (n,):
         raise ValueError("q0 must have length n")
 
-    q, p = poly_variables(n)
-    pq = Polynomial.zero(2 * n)
-    for i in range(n):
-        pq = pq + p[i] * q[i]
-    Q = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j] != 0.0:
-                Q[(i, j)] = pq * (-a[i, j])
-    alpha = TwoFormField(n, Q=Q)
+    alpha = _antisymmetric_two_form(a)
 
     def analytic(t, x0):
         x0 = np.asarray(x0, dtype=float)

@@ -303,7 +303,8 @@ def check_feng_shang(n_list, trials: int, seed: int) -> SuiteResult:
     The routes agree exactly when the diagonal A components sum to zero;
     for alpha = H omega/(n-1) with H = p_1 they must differ at the witness
     point (the construction keeps a trace term the plain divergence drops).
-    The witness is checked at every n, so the suite is never skipped.
+    The witness is checked at every n, and its gap kept in `detail`; the
+    suite is skipped when its sampled half draws no case (no n of 2 or 3).
     """
     def gap(alpha, pts):
         return _max_abs(feng_shang_field(feng_shang_from_alpha(alpha))(pts)
@@ -317,7 +318,7 @@ def check_feng_shang(n_list, trials: int, seed: int) -> SuiteResult:
     p1 = Polynomial.coordinate(4, 2)  # H = p_1 on n = 2
     witness = gap(hamiltonian_two_form(p1, 2), np.array([0.3, -0.6, 0.2, 0.9]))
     return _result("feng_shang", sampled.max_residual, extra_ok=witness >= WITNESS_FLOOR,
-                   detail={"witness_gap": witness})
+                   detail={"witness_gap": witness}, skipped=sampled.skipped)
 
 
 def check_harmonic_return() -> SuiteResult:

@@ -212,7 +212,8 @@ def test_check_report_structure_and_determinism(tmp_path, capsys):
 
 def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
     # n = 4 is covered only by oracle_equivalence and lemmas; feng_shang
-    # still checks its witness, and the flow suites do not depend on n
+    # checks its witness but its sampled half draws nothing, so it is
+    # skipped too; the flow suites do not depend on n
     report = str(tmp_path / "rep.json")
     rc = main(["check", "--n", "4", "--trials", "1", "--horizon", "0.5",
                "--report", report])
@@ -221,7 +222,7 @@ def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
     data = json.loads(Path(report).read_text())
     skipped = {"hamiltonian_reduction", "divergence_free", "gauge_invariance",
                "observable_derivative", "poisson_trace", "trace_closed_form",
-               "decomposition"}
+               "decomposition", "feng_shang"}
     for name, entry in data.items():
         if name == "_meta":
             continue

@@ -25,7 +25,7 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow.dynamics import _BLOCK, _dx_source, _rk4_block
+from volflow.dynamics import _BLOCK, _dx_source, _one_pass, _rk4_block
 from volflow.systems import (
     COUPLED_K,
     LinearSystemSpec,
@@ -171,7 +171,7 @@ def test_tangent_step_jacobian_matches_bundle():
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            xs, S, _ = _rk4_block(*_dx_source(X), x, 1e-2, 1)
+            xs, S = _rk4_block(*_dx_source(X), x, 1e-2, 1)
             exact_x, exact_S = xs[0], S[0]
             fd_x, fd_S = _rk4_step_and_jacobian(X, x, 1e-2)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
@@ -198,11 +198,13 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         k3 = variational(z + 0.5 * dt * k2)
         k4 = variational(z + dt * k3)
         want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs, S, DX = _rk4_block(*_dx_source(X), x, dt, 1)
+        xs, S = _rk4_block(*_dx_source(X), x, dt, 1)
         got = np.concatenate([xs[0], S[0].ravel()])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
-        # the block also returns DX at x and at the state it ends at
-        for state, jac in zip((x, xs[0]), DX):
+        # the pass takes DX at its samples, x and the state after the step
+        run = _one_pass(X, x, dt, 1, 1, 1)
+        assert np.array_equal(run.states, [x, xs[0]])
+        for state, jac in zip(run.states, run.jacobians):
             assert np.max(np.abs(jac - X.tangent(state)[1])) <= 1e-15 * (1.0 + np.abs(jac).max())
 
 
@@ -218,6 +220,36 @@ def test_flow_dets_across_block_boundaries():
     assert np.array_equal(times, every_step[0][::7])
     assert np.max(np.abs(dets - every_step[1][::7]) / np.abs(dets)) <= 1e-15
     assert np.max(np.abs(every_step[1] - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["finite", "last-dx-overflows"])
+def test_one_pass_rows_do_not_depend_on_the_cadences(case):
+    # stepping keeps every gcd(sample_every, trajectory_every)-th state, and
+    # the rows are taken from those after stepping: each must be the
+    # every-step run's row at the same step
+    if case == "finite":
+        sys = random_alpha_system(3, 2)
+        X, x0, dt, steps = sys.field, sys.default_x0, 1e-2, 3 * _BLOCK + 5
+    else:
+        # the field of test_monitor_drops_a_sample_whose_jacobian_overflows,
+        # stopped at step 80, whose state is finite but its DX is not
+        q, p = poly_variables(3)
+        H = p[0] * q[1] * q[1] + (q[1] * q[1] + p[1] * p[1]) * 0.5 + q[2] * q[0] ** 300 * 1e-300
+        X, x0, dt, steps = hamiltonian_field(H, 3), np.array([-9.4, 0, 0, 0, 1.0, 0]), 0.5, 80
+    failed = case != "finite"
+    full = _one_pass(X, x0, dt, steps, 1, 1)
+    assert full.trajectory.failed == failed
+    assert (len(full.trajectory.states), len(full.states)) == (steps + 1, steps + 1 - failed)
+    for sample_every, trajectory_every in [(6, 4), (5, 7), (1, 1)]:
+        run = _one_pass(X, x0, dt, steps, sample_every, trajectory_every)
+        assert run.trajectory.failed == failed
+        traj, every = run.trajectory, full.trajectory
+        assert np.array_equal(traj.times, every.times[::trajectory_every])
+        assert np.array_equal(traj.states, every.states[::trajectory_every])
+        for got, want in [(run.times, full.times), (run.states, full.states),
+                          (run.dets, full.dets), (run.jacobians, full.jacobians)]:
+            assert np.array_equal(got, want[::sample_every])
+        assert run.calls == 4 * steps
 
 
 def test_flow_dets_exact_for_coupled_system():
