@@ -239,16 +239,31 @@ class Polynomial(ScalarField):
             raise ValueError(f"coordinate index {i} out of range")
         if i not in self._partials:
             keep = self._exps[:, i] > 0
-            exps = self._exps[keep].copy()
+            exps = self._exps[keep]
             coeffs = self._coeffs[keep] * exps[:, i]
             exps[:, i] -= 1
-            # Lowering one exponent of every kept row leaves the rows distinct,
-            # lexically sorted and with nonzero coefficients: already normal.
-            out = Polynomial.__new__(Polynomial)
-            out.dim, out._exps, out._coeffs = self.dim, exps, coeffs
-            out._partials = {}
-            self._partials[i] = out
+            # Lowering one exponent of every kept row leaves the rows
+            # distinct and lexically sorted.
+            self._partials[i] = Polynomial._normal(self.dim, exps, coeffs)
         return self._partials[i]
+
+    @classmethod
+    def _normal(cls, dim: int, exps: np.ndarray, coeffs: np.ndarray) -> "Polynomial":
+        """The polynomial of rows already in normal form, without a merge.
+
+        `exps` must be distinct int64 rows in lexical order, as `_merge_rows`
+        leaves them; only the rows whose coefficient is zero are dropped
+        (NaN and inf rows are kept, as the merge keeps them).  A caller may
+        skip the merge when it keeps a normal polynomial's rows, or lowers
+        one exponent of rows that all have it positive: `partial`, `-p` and
+        `p * scalar` (where a product that underflows to 0.0 drops its row).
+        """
+        if np.count_nonzero(coeffs) < coeffs.shape[0]:
+            keep = coeffs != 0.0
+            exps, coeffs = exps[keep], coeffs[keep]
+        out = cls.__new__(cls)
+        out.dim, out._exps, out._coeffs, out._partials = dim, exps, coeffs, {}
+        return out
 
     # -- exact arithmetic ------------------------------------------------------
 
@@ -266,7 +281,7 @@ class Polynomial(ScalarField):
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, (self._exps, -self._coeffs))
+        return Polynomial._normal(self.dim, self._exps, -self._coeffs)
 
     def __sub__(self, other):
         if isinstance(other, (Polynomial, int, float)):
@@ -282,7 +297,7 @@ class Polynomial(ScalarField):
             coeffs = (self._coeffs[:, None] * other._coeffs[None, :]).reshape(-1)
             return Polynomial(self.dim, (exps, coeffs))
         if isinstance(other, (int, float)) and not isinstance(other, bool):
-            return Polynomial(self.dim, (self._exps, float(other) * self._coeffs))
+            return Polynomial._normal(self.dim, self._exps, float(other) * self._coeffs)
         return super().__mul__(other)
 
     __rmul__ = __mul__
@@ -328,11 +343,26 @@ def _merge_rows(exps: np.ndarray, coeffs: np.ndarray, cols, width: int):
     order and C[k, c] the sum of the `coeffs` whose row is basis[k] and
     whose column (`cols`, one per coefficient, or one int for all) is c.
     Rows of C that are all zero are dropped, with their basis rows.
+
+    One stable lexsort of the rows, first coordinate the primary key, puts
+    equal rows next to each other; a row that differs from its predecessor
+    starts a new basis row, and the running count of those starts is each
+    row's index in the basis.  That is the lexical basis and the inverse of
+    `np.unique(exps, axis=0, return_inverse=True)`, for any int64 exponent,
+    and `np.add.at` sums each basis row's coefficients in input order, so C
+    is bit for bit the same as well.  Zero-width rows are all equal.
     """
-    basis, inverse = np.unique(exps, axis=0, return_inverse=True)
+    order = (np.lexsort(exps.T[::-1]) if exps.shape[1]
+             else np.arange(exps.shape[0]))
+    ordered = exps[order]
+    new = np.ones(order.shape[0], dtype=bool)
+    (ordered[1:] != ordered[:-1]).any(axis=1, out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = new.cumsum() - 1
+    basis = ordered[new]
     C = np.zeros((basis.shape[0], width))
-    np.add.at(C, (inverse.ravel(), cols), coeffs)
-    keep = np.any(C != 0.0, axis=1)
+    np.add.at(C, (inverse, cols), coeffs)
+    keep = (C != 0.0).any(axis=1)
     return basis[keep], C[keep]
 
 

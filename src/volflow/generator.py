@@ -47,11 +47,10 @@ class GeneratedField:
     output raises `FieldEvaluationError` naming its component (qdot1..pdotn).
     """
 
-    def __init__(self, n: int, eval_fn: Callable, kind: str, source=None):
+    def __init__(self, n: int, eval_fn: Callable, kind: str):
         self.n = int(n)
         self._eval_fn = eval_fn
         self.kind = kind
-        self.source = source
         self._names = _names(self.n)
 
     def __call__(self, x) -> np.ndarray:
@@ -97,7 +96,7 @@ def generate(alpha: TwoFormField) -> GeneratedField:
     and the field has an exact `tangent`.  Any other component makes each
     call take the components' gradients (see `_field`).
     """
-    return _field(alpha.n, list(_field_terms(alpha)), "from-two-form", alpha)
+    return _field(alpha.n, list(_field_terms(alpha)), "from-two-form")
 
 
 def _names(n: int):
@@ -112,7 +111,7 @@ def _check_finite(out: np.ndarray, names) -> np.ndarray:
     return out
 
 
-def _field(n: int, terms, kind: str, source) -> GeneratedField:
+def _field(n: int, terms, kind: str) -> GeneratedField:
     """The field X^a = sum of sign * df/dx^d over `terms` (a, sign, f, d).
 
     When every f is a `Polynomial` on R^{2n} the field is compiled into a
@@ -120,7 +119,7 @@ def _field(n: int, terms, kind: str, source) -> GeneratedField:
     gradient once and sums the terms.
     """
     if all(isinstance(f, Polynomial) and f.dim == 2 * n for _, _, f, _ in terms):
-        return GeneratedField(n, _PolynomialField(n, terms), kind, source)
+        return GeneratedField(n, _PolynomialField(n, terms), kind)
 
     def eval_fn(pts):
         grads, out = {}, np.zeros(pts.shape)
@@ -130,7 +129,7 @@ def _field(n: int, terms, kind: str, source) -> GeneratedField:
             out[..., a] += sign * grads[f][..., d]
         return out
 
-    return GeneratedField(n, eval_fn, kind, source)
+    return GeneratedField(n, eval_fn, kind)
 
 
 def _field_terms(alpha: TwoFormField):
@@ -247,7 +246,7 @@ def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:
     has an exact `tangent`; any other H is differentiated at every call.
     """
     terms = [t for i in range(n) for t in ((i, 1.0, H, n + i), (n + i, -1.0, H, i))]
-    return _field(n, terms, "hamiltonian", H)
+    return _field(n, terms, "hamiltonian")
 
 
 def decompose(alpha: TwoFormField) -> Tuple[GeneratedField, GeneratedField]:
@@ -331,4 +330,4 @@ def feng_shang_field(tensor: FengShangTensor) -> GeneratedField:
         d = tensor.partials(pts)
         return np.einsum("...ijj->...i", d)
 
-    return GeneratedField(tensor.n, eval_fn, "feng-shang", tensor)
+    return GeneratedField(tensor.n, eval_fn, "feng-shang")

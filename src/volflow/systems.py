@@ -117,7 +117,7 @@ class LinearSystemSpec:
                 axis=-1,
             )
 
-        return GeneratedField(n, eval_fn, "linear-direct", self)
+        return GeneratedField(n, eval_fn, "linear-direct")
 
 
 @dataclass
@@ -261,15 +261,14 @@ def drift_system(a, q0=None) -> SystemInstance:
 def random_polynomial(dim: int, rng: np.random.Generator, degree: int = 3,
                       max_terms: int = 4, scale: float = 1.0) -> Polynomial:
     """A random polynomial with up to max_terms monomials of total degree <= degree."""
-    terms: Dict = {}
-    for _ in range(max_terms):
-        exps = [0] * dim
-        budget = int(rng.integers(0, degree + 1))
-        for _ in range(budget):
-            exps[int(rng.integers(0, dim))] += 1
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0.0) + scale * float(rng.uniform(-1.0, 1.0))
-    return Polynomial(dim, terms)
+    exps = np.zeros((max_terms, dim), dtype=np.int64)
+    coeffs = np.empty(max_terms)
+    for t in range(max_terms):
+        for _ in range(int(rng.integers(0, degree + 1))):
+            exps[t, int(rng.integers(0, dim))] += 1
+        coeffs[t] = scale * float(rng.uniform(-1.0, 1.0))
+    # a monomial drawn twice is summed in draw order by the merge
+    return Polynomial(dim, (exps, coeffs))
 
 
 def random_two_form(n: int, rng: np.random.Generator, degree: int = 3,

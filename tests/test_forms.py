@@ -22,7 +22,7 @@ from volflow import (
     trace_field,
     traceless_part,
 )
-from volflow.forms import as_points
+from volflow.forms import _merge_rows, as_points
 from volflow.systems import random_polynomial
 
 
@@ -131,6 +131,56 @@ def test_polynomial_partial_is_exact_and_cached():
     assert f.partial(0) is fx  # cached object
     assert f.partial(1).terms() == {(3, 0): 2.0}
     assert f.partial(0).partial(1).terms() == {(2, 0): 6.0}
+
+
+def _merge_reference(exps, coeffs, cols, width):
+    """`_merge_rows` by a dict: distinct rows in sorted tuple order, each
+    column's coefficients summed in input order, all-zero rows dropped."""
+    sums = {}
+    for row, c, col in zip(exps, coeffs, np.broadcast_to(cols, len(coeffs))):
+        acc = sums.setdefault(tuple(int(e) for e in row), [0.0] * width)
+        acc[col] += float(c)
+    rows = sorted(r for r, acc in sums.items() if any(v != 0.0 for v in acc))
+    return (np.array(rows, dtype=np.int64).reshape(-1, exps.shape[1]),
+            np.array([sums[r] for r in rows], dtype=float).reshape(-1, width))
+
+
+_BIG = 2 ** 40
+
+
+@pytest.mark.parametrize("exps, coeffs, cols, width", [
+    pytest.param([[1, 0], [0, 2], [1, 0], [0, 0], [0, 2]],
+                 [2.0, -1.0, 3.0, 0.5, 4.0], 0, 1, id="duplicates"),
+    pytest.param([[2, 1], [0, 1], [2, 1], [2, 1], [1, 1]],
+                 [1.0, 5.0, 1e16, -1e16, -2.0], 0, 1, id="cancel-in-input-order"),
+    pytest.param([[1, 2], [0, 1], [1, 2], [0, 1]],
+                 [1.5, -2.0, -1.5, 2.0], 0, 1, id="all-cancel"),
+    pytest.param(np.zeros((0, 3)), [], 0, 1, id="empty"),
+    pytest.param([[0, 1, 1], [2, 0, 0], [0, 1, 1], [2, 0, 0], [0, 0, 1]],
+                 [1.0, 2.0, 3.0, -2.0, 4.0], [0, 2, 1, 2, 0], 3, id="columns"),
+    pytest.param([[_BIG, 0], [0, 2 * _BIG], [_BIG, 0], [3, 2 ** 62], [_BIG, 1]],
+                 [1.0, 2.0, 0.25, -1.0, 5.0], 0, 1, id="exponents-over-2^40"),
+])
+def test_merge_rows_matches_a_dict_reference(exps, coeffs, cols, width):
+    exps = np.asarray(exps, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=float)
+    basis, C = _merge_rows(exps, coeffs, cols, width)
+    want_basis, want_C = _merge_reference(exps, coeffs, cols, width)
+    assert basis.dtype == np.int64
+    assert np.array_equal(basis, want_basis)
+    assert np.array_equal(C, want_C)
+
+
+def test_normal_form_operations_match_the_merge():
+    # -p, p * 0.0 and p * 1e-300 keep p's rows without a merge; the
+    # 1e-300 coefficient underflows to 0.0 in the last one and is dropped
+    p = Polynomial(3, ([(0, 2, 1), (1, 0, 0), (0, 0, 3)], [1e-300, 2.0, -3.0]))
+    for got, factor in ((-p, -1.0), (p * 0.0, 0.0), (p * 1e-300, 1e-300)):
+        want = Polynomial(3, (p._exps, factor * p._coeffs))
+        assert np.array_equal(got._exps, want._exps)
+        assert np.array_equal(got._coeffs, want._coeffs)
+    assert (p * 1e-300).terms() == {(0, 0, 3): -3e-300, (1, 0, 0): 2e-300}
+    assert (p * 0.0).terms() == {}
 
 
 def test_poly_variables():

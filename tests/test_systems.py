@@ -212,6 +212,16 @@ def test_random_polynomial_budget_and_determinism():
     assert all(sum(e) <= 3 for e in f.terms())
 
 
+def test_random_polynomial_keeps_its_random_stream():
+    # the seed draws the constant monomial twice; its coefficient is the sum
+    f = random_polynomial(6, np.random.default_rng(0))
+    assert list(f.terms().items()) == [
+        ((0, 0, 0, 0, 0, 0), 1.4520516329559883),
+        ((0, 0, 0, 1, 0, 1), 0.08724998293084574),
+        ((0, 1, 0, 2, 0, 0), -0.9180529521276106),
+    ]
+
+
 def test_random_two_form_traceless_option():
     rng = np.random.default_rng(11)
     alpha = random_two_form(3, rng, traceless=True)
