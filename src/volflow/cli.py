@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .forms import Polynomial, TwoFormField, hamiltonian_two_form
+from .forms import FieldEvaluationError, Polynomial, TwoFormField, hamiltonian_two_form
 from .generator import _names, generate
 from .dynamics import monitor
 from .systems import _parameters, build_system, coupled_oscillators, random_two_form
@@ -65,8 +65,8 @@ class RunConfig:
     diagnostics_path: str = "diagnostics.json"
 
     def validate(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError("dt must be finite and positive")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.sample_every < 1:
@@ -206,8 +206,12 @@ def cmd_check(args) -> int:
         trials = int(args.trials)
         if trials < 0:
             raise ConfigError("--trials must be >= 0")
-        if args.dt <= 0 or args.horizon <= 0:
-            raise ConfigError("--dt and --horizon must be positive")
+        if not (0 < args.dt < np.inf and 0 < args.horizon < np.inf):
+            raise ConfigError("--dt and --horizon must be finite and positive")
+        steps = args.horizon / args.dt
+        if not (np.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError("--horizon / --dt must round to a finite step count "
+                              f">= 1, not {steps:g}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -253,6 +257,8 @@ def cmd_oracle(args) -> int:
         point = np.array([float(tok) for tok in args.point.split(",")], dtype=float)
         if point.ndim != 1 or point.size % 2 or point.size < 4:
             raise ConfigError("--point must list 2n >= 4 comma-separated reals")
+        if not np.isfinite(point).all():
+            raise ConfigError("--point must be finite (NaN and Infinity are not allowed)")
         n = point.size // 2
         if args.n is not None and int(args.n) != n:
             raise ConfigError(f"--n {args.n} contradicts point of length {point.size}")
@@ -262,7 +268,12 @@ def cmd_oracle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    direct = generate(alpha)(point)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = generate(alpha)(point)
+    except FieldEvaluationError as exc:
+        print(f"error: {exc} at --point {args.point}", file=sys.stderr)
+        return FAILURE
     solved, _ = _oracle_solve(alpha, point)
     residual = np.abs(direct - solved)
     print(f"alpha = {args.alpha}, n = {n}, point = {_format_row(point)}")

@@ -29,7 +29,7 @@ from .forms import (
     _fd_jacobian,
     as_points,
 )
-from .generator import GeneratedField, generate
+from .generator import GeneratedField, _symplectic_matrix, generate
 
 __all__ = [
     "Trajectory",
@@ -52,8 +52,8 @@ class Trajectory:
 
     `states` has shape (num_samples, ..., 2n) matching the batch shape of
     the initial condition.  If the integration produced non-finite values,
-    `failed` is True and samples stop at `last_valid_index`.  `dt` and
-    `field` record how the trajectory was produced.
+    `failed` is True and samples stop at `last_valid_index`.  `dt` records
+    the step that produced it.
     """
 
     times: np.ndarray
@@ -61,7 +61,6 @@ class Trajectory:
     failed: bool = False
     last_valid_index: Optional[int] = None
     dt: Optional[float] = None
-    field: Optional[object] = None
 
     @property
     def n(self) -> int:
@@ -135,8 +134,8 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
 
     if failed:
         return Trajectory(times[:write], states[:write], failed=True,
-                          last_valid_index=write - 1, dt=dt, field=field)
-    return Trajectory(times, states, dt=dt, field=field)
+                          last_valid_index=write - 1, dt=dt)
+    return Trajectory(times, states, dt=dt)
 
 
 # Steps whose Jacobians one batched DX call takes: enough to spread numpy's
@@ -270,8 +269,7 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     n_samples = (done if sampled else max(done - 1, 0)) // sample_every + 1
     trajectory = Trajectory(_sample_times(dt, steps, trajectory_every)[:n_traj],
                             states[:: trajectory_every // g], failed=failed,
-                            last_valid_index=n_traj - 1 if failed else None,
-                            dt=dt, field=field)
+                            last_valid_index=n_traj - 1 if failed else None, dt=dt)
     dets = np.cumprod(np.concatenate(step_dets))[::sample_every]
     return _Pass(trajectory, _sample_times(dt, steps, sample_every)[:n_samples],
                  samples[:n_samples], dets[:n_samples], DX[:n_samples], 4 * done)
@@ -302,10 +300,7 @@ def divergence_at(field, x) -> np.ndarray:
 
 def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
     """J^T W + W J, W the matrix of omega, for Jacobians J of shape (..., 2n, 2n)."""
-    W = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        W[n + i, i] = 1.0
-        W[i, n + i] = -1.0
+    W = _symplectic_matrix(n).T
     return np.swapaxes(J, -1, -2) @ W + W @ J
 
 

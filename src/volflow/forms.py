@@ -123,11 +123,9 @@ class ScalarField:
         ``FD_STEP * (1 + |x_i|)`` per coordinate.
     """
 
-    def __init__(self, value_fn: Callable, gradient_fn: Optional[Callable] = None,
-                 name: Optional[str] = None):
+    def __init__(self, value_fn: Callable, gradient_fn: Optional[Callable] = None):
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
-        self.name = name
 
     def value(self, x):
         return self._value_fn(as_points(x))

@@ -1,14 +1,15 @@
-"""Vector fields generated from 2-form fields.
+"""Vector fields generated from 2-forms.
 
 The central map takes a 2-form alpha = (1/2) Q_ij dq^i^dq^j + A^i_j dp_i^dq^j
-+ (1/2) P^ij dp_i^dp_j to the vector field
++ (1/2) P^ij dp_i^dp_j to X = sum of M_f grad f over its components f, each
+M_f a constant antisymmetric matrix (`_field_terms`).  In coordinates,
 
     qdot^i = dP^ij/dq^j + d(tr A)/dp_i - dA^i_j/dp_j
     pdot_i = dQ_ij/dp_j - d(tr A)/dq^i + dA^j_i/dq^j
 
-(sums over repeated j; tr A = A^j_j).  Fields built this way are divergence
-free, so their flows preserve phase-space volume.  The Hamiltonian fields
-are the special case alpha proportional to the canonical symplectic form.
+(sums over repeated j; tr A = A^j_j).  Hessians are symmetric, so div X = 0
+and the flows preserve phase-space volume.  Hamilton's X = J grad H is the
+case alpha = H omega/(n-1), whose one component H/(n-1) has M = (n-1) J.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def generate(alpha: TwoFormField) -> GeneratedField:
     and the field has an exact `tangent`.  Any other component makes each
     call take the components' gradients (see `_field`).
     """
-    return _field(alpha.n, list(_field_terms(alpha)), "from-two-form")
+    return _field(alpha.n, _field_terms(alpha), "from-two-form")
 
 
 def _names(n: int):
@@ -111,57 +112,62 @@ def _check_finite(out: np.ndarray, names) -> np.ndarray:
     return out
 
 
-def _field(n: int, terms, kind: str) -> GeneratedField:
-    """The field X^a = sum of sign * df/dx^d over `terms` (a, sign, f, d).
+def _field(n: int, pairs, kind: str) -> GeneratedField:
+    """The field X = sum of M_f grad f over `pairs` (f, M_f).
 
     When every f is a `Polynomial` on R^{2n} the field is compiled into a
-    `_PolynomialField`.  Otherwise each call takes every distinct f's
-    gradient once and sums the terms.
+    `_PolynomialField`.  Otherwise each call takes each f's gradient once and
+    adds only M_f's nonzero entries, so an overflowing partial (inf * 0 would
+    be NaN) reaches only the components it drives.
     """
-    if all(isinstance(f, Polynomial) and f.dim == 2 * n for _, _, f, _ in terms):
-        return GeneratedField(n, _PolynomialField(n, terms), kind)
+    if all(isinstance(f, Polynomial) and f.dim == 2 * n for f, _ in pairs):
+        return GeneratedField(n, _PolynomialField(n, pairs), kind)
 
     def eval_fn(pts):
-        grads, out = {}, np.zeros(pts.shape)
-        for a, sign, f, d in terms:
-            if f not in grads:
-                grads[f] = np.asarray(f.gradient(pts), dtype=float)
-            out[..., a] += sign * grads[f][..., d]
+        out = np.zeros(pts.shape)
+        for f, M in pairs:
+            grad = np.asarray(f.gradient(pts), dtype=float)
+            for a, d in zip(*np.nonzero(M)):
+                out[..., a] += M[a, d] * grad[..., d]
         return out
 
     return GeneratedField(n, eval_fn, kind)
 
 
-def _field_terms(alpha: TwoFormField):
-    """Yield (a, sign, f, d): X^a gains sign * df/dx^d, term by term.
+def _symplectic_matrix(n: int) -> np.ndarray:
+    """J with J[:n, n:] = I and J[n:, :n] = -I: Hamilton's X = J grad H."""
+    J, i = np.zeros((2 * n, 2 * n)), np.arange(n)
+    J[i, n + i], J[n + i, i] = 1.0, -1.0
+    return J
 
-    Coordinates are indexed (q^1..q^n, p_1..p_n).  Q and P are stored above
-    the diagonal only, so each stored entry also enters as its negated
-    reflection.
+
+def _field_terms(alpha: TwoFormField):
+    """The pairs (f, M_f) with X = sum of M_f grad f, one per distinct component.
+
+    Coordinates are (q^1..q^n, p_1..p_n).  A slot (a, d) of f adds
+    M_f[a, d] += 1 and M_f[d, a] -= 1: Q_ij at (p_i, p_j), P^ij at (q^i, q^j),
+    A^i_j at (p_j, q^i); a diagonal A^i_i also adds J, its trace term.  Pairs
+    are keyed by the object, so `hamiltonian_two_form`'s shared H/(n-1) is
+    one pair with M = (n-1) J.
     """
     n = alpha.n
+    pairs = {}
     for kind, i, j, f in alpha.components():
-        if kind == "Q":  # pdot_i += dQ_ij/dp_j
-            yield n + i, 1.0, f, n + j
-            yield n + j, -1.0, f, n + i
-        elif kind == "P":  # qdot^i += dP^ij/dq^j
-            yield i, 1.0, f, j
-            yield j, -1.0, f, i
-        else:  # qdot^i -= dA^i_j/dp_j;  pdot_j += dA^i_j/dq^i
-            yield i, -1.0, f, n + j
-            yield n + j, 1.0, f, i
-            if i == j:  # qdot^k += d(trA)/dp_k;  pdot_k -= d(trA)/dq^k
-                for k in range(n):
-                    yield k, 1.0, f, n + k
-                    yield n + k, -1.0, f, k
+        a, d = {"Q": (n + i, n + j), "P": (i, j), "A": (n + j, i)}[kind]
+        M = pairs.setdefault(id(f), (f, np.zeros((2 * n, 2 * n))))[1]
+        M[a, d] += 1.0
+        M[d, a] -= 1.0
+        if kind == "A" and i == j:
+            M += _symplectic_matrix(n)
+    return list(pairs.values())
 
 
 class _MonomialMap:
     """Y(x) = m(x) @ C, m the monomials of one basis, C one column per output.
 
-    `terms` yields (column, sign, g): output `column` gains sign * g for a
-    `Polynomial` g.  The terms are merged into an (m, dim) exponent basis
-    and an (m, len(names)) coefficient matrix C.
+    `terms` yields (column, c, g): output `column` gains c * g for a float c
+    and a `Polynomial` g.  The terms are merged into an (m, dim) exponent
+    basis and an (m, len(names)) coefficient matrix C.
 
     Evaluation is points-major: on x = pts.T, coordinates first, a call
     fills the ((deg + 1) * dim, ...) power table whose row e * dim + d is
@@ -178,9 +184,9 @@ class _MonomialMap:
     def __init__(self, dim: int, terms, names):
         exps = [np.zeros((0, dim), dtype=np.int64)]
         coeffs, cols = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
-        for col, sign, g in terms:
+        for col, c, g in terms:
             exps.append(g._exps)
-            coeffs.append(sign * g._coeffs)
+            coeffs.append(c * g._coeffs)
             cols.append(np.full(g._coeffs.shape, col))
         # monomials whose terms all cancel are dropped
         basis, self.C = _merge_rows(np.vstack(exps), np.concatenate(coeffs),
@@ -210,19 +216,21 @@ class _MonomialMap:
 
 
 class _PolynomialField(_MonomialMap):
-    """X(x) = m(x) @ C_X for a polynomial field, from the exact partials
-    named by `terms`: each (a, sign, f, d) adds sign * df/dx^d to X^a.
+    """X(x) = m(x) @ C_X for a polynomial field X = sum of M_f grad f over
+    `pairs` (f, M_f), from the exact partials of each f: each nonzero
+    M_f[a, d] adds M_f[a, d] * df/dx^d to X^a.
 
     `tangent_map` evaluates [X | DX] = m(x) @ [C_X | C_DX] from one table,
     with C_DX built from the second partials; that wider map is compiled on
     its first use, so fields that are only evaluated never pay for it.
     """
 
-    def __init__(self, n: int, terms):
+    def __init__(self, n: int, pairs):
         dim = 2 * n
         self.coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-        # X^a gains sign * g for each first partial g of a component
-        self.partials = [(a, sign, f.partial(d)) for a, sign, f, d in terms]
+        # X^a gains M_f[a, d] * g for each first partial g = df/dx^d
+        self.partials = [(a, M[a, d], f.partial(d))
+                         for f, M in pairs for a, d in zip(*np.nonzero(M))]
         super().__init__(dim, self.partials, _names(n))
         self._tangent_map = None
 
@@ -232,21 +240,20 @@ class _PolynomialField(_MonomialMap):
         if self._tangent_map is None:
             dim = len(self.names)
             with np.errstate(over="ignore"):
-                second = [(dim + a * dim + b, sign, g.partial(b))
-                          for a, sign, g in self.partials for b in range(dim)]
+                second = [(dim + a * dim + b, m, g.partial(b))
+                          for a, m, g in self.partials for b in range(dim)]
             names = self.names + [f"d{x}/d{c}" for x in self.names for c in self.coords]
             self._tangent_map = _MonomialMap(dim, self.partials + second, names)
         return self._tangent_map
 
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:
-    """The Hamiltonian field qdot^i = dH/dp_i, pdot_i = -dH/dq^i.
+    """The Hamiltonian field X = J grad H, the single pair (H, J).
 
-    A `Polynomial` H is compiled like a polynomial 2-form, so the field
-    has an exact `tangent`; any other H is differentiated at every call.
+    A `Polynomial` H is compiled like a polynomial 2-form, so the field has
+    an exact `tangent`; any other H is differentiated at every call.
     """
-    terms = [t for i in range(n) for t in ((i, 1.0, H, n + i), (n + i, -1.0, H, i))]
-    return _field(n, terms, "hamiltonian")
+    return _field(n, [(H, _symplectic_matrix(n))], "hamiltonian")
 
 
 def decompose(alpha: TwoFormField) -> Tuple[GeneratedField, GeneratedField]:

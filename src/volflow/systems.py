@@ -138,7 +138,6 @@ class SystemInstance:
     analytic: Optional[Callable] = None
     default_x0: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
     invariants_expected: Dict[str, bool] = dc_field(default_factory=dict)
-    description: str = ""
 
 
 def _default_linear_x0(n: int) -> np.ndarray:
@@ -169,7 +168,6 @@ def linear_system(k, name: str = "linear") -> SystemInstance:
         default_x0=_default_linear_x0(spec.n),
         invariants_expected={"volume": True, "energy": symplectic,
                              "symplectic": symplectic},
-        description=f"linear second-order system, k={spec.k.tolist()}",
     )
 
 
@@ -194,7 +192,6 @@ def harmonic_oscillator(n: int = 2, omega_freqs=None) -> SystemInstance:
         return np.concatenate([q0 * c + (p0 / w) * s, p0 * c - w * q0 * s])
 
     inst.analytic = analytic
-    inst.description = f"{n} uncoupled oscillators, frequencies {w.tolist()}"
     return inst
 
 
@@ -211,7 +208,6 @@ def coupled_oscillators() -> SystemInstance:
     """
     inst = linear_system(COUPLED_K, name="coupled-oscillators")
     inst.default_x0 = np.array([1.0, 0.5, -0.2, 0.3])
-    inst.description = "two coupled degrees of freedom, non-symmetric k, a12 = 1/4"
     return inst
 
 
@@ -254,7 +250,6 @@ def drift_system(a, q0=None) -> SystemInstance:
         analytic=analytic,
         default_x0=np.concatenate([q0, np.zeros(n)]),
         invariants_expected={"volume": True, "energy": True, "symplectic": False},
-        description="frozen positions, linear momentum drift",
     )
 
 
@@ -328,7 +323,6 @@ def random_alpha_system(n: int = 2, seed: int = 0, degree: int = 3,
         alpha=alpha,
         default_x0=x0,
         invariants_expected={"volume": True, "energy": False, "symplectic": False},
-        description=f"random polynomial 2-form, seed={seed}, scale={scale}",
     )
 
 
@@ -344,7 +338,6 @@ def zero_system(n: int = 2) -> SystemInstance:
         analytic=lambda t, x0: np.asarray(x0, dtype=float).copy(),
         default_x0=np.zeros(2 * n),
         invariants_expected={"volume": True, "energy": True, "symplectic": True},
-        description="zero vector field",
     )
 
 

@@ -28,6 +28,8 @@ from .exterior import (
 )
 from .forms import Polynomial, TwoFormField, hamiltonian_two_form, gauge_shift, trace_field
 from .generator import (
+    _field_terms,
+    _symplectic_matrix,
     decompose,
     feng_shang_field,
     feng_shang_from_alpha,
@@ -166,26 +168,31 @@ def check_oracle_equivalence(n_list, trials: int, seed: int) -> SuiteResult:
 
 
 def check_hamiltonian_reduction(n_list, trials: int, seed: int) -> SuiteResult:
-    """generate(H omega/(n-1)) equals the direct Hamiltonian field pointwise."""
+    """generate(H omega/(n-1)) equals the direct Hamiltonian field pointwise,
+    and exactly: its components are the one pair (H/(n-1), (n-1) J)."""
     def case(n, rng):
         H = random_polynomial(2 * n, rng)
         pts = rng.standard_normal((5, 2 * n))
-        X = generate(hamiltonian_two_form(H, n))
-        return _max_abs(X(pts) - hamiltonian_field(H, n)(pts))
+        alpha = hamiltonian_two_form(H, n)
+        pairs = _field_terms(alpha)
+        exact = (_max_abs(pairs[0][1] - (n - 1) * _symplectic_matrix(n))
+                 if len(pairs) == 1 else np.inf)
+        return np.max([_max_abs(generate(alpha)(pts) - hamiltonian_field(H, n)(pts)), exact])
 
     return _sampled("hamiltonian_reduction", case, n_list, (2, 3), trials, seed,
                     split=False)
 
 
 def check_divergence_free(n_list, points: int, seed: int) -> SuiteResult:
-    """Finite-difference divergence of generated fields vanishes, at
-    `points` points shared by two random 2-forms per n."""
+    """Finite-difference divergence of generated fields vanishes at `points`
+    points shared by two random 2-forms per n; exactly, every M_f + M_f^T = 0."""
     size = max(1, points // max(1, 2 * len(_clamp(n_list, (2, 3)))))
 
     def case(n, rng):
         alpha = random_two_form(n, rng)
         pts = rng.standard_normal((size, 2 * n))
-        return _max_abs(divergence_at(generate(alpha), pts))
+        asym = [_max_abs(M + M.T) for _, M in _field_terms(alpha)]
+        return np.max([_max_abs(divergence_at(generate(alpha), pts))] + asym)
 
     return _sampled("divergence_free", case, n_list, (2, 3), 2, seed, split=False)
 

@@ -180,6 +180,22 @@ def test_simulate_rejects_non_finite_x0(tmp_path, capsys, bad):
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["nan", "inf"])
+def test_simulate_rejects_a_non_finite_dt_flag(tmp_path, capsys, flag):
+    cfg = _zero_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--dt", flag]) == 2
+    assert capsys.readouterr().err.startswith("error: dt must be finite")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_simulate_rejects_a_non_finite_dt_in_the_config(tmp_path, capsys, bad):
+    cfg = _zero_config(tmp_path, dt=float(bad))
+    assert bad in (tmp_path / "config.json").read_text()
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error: dt must be finite")
+
+
 def test_simulate_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -258,6 +274,19 @@ def test_check_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dt", "nan"], ["--horizon", "nan"], ["--horizon", "inf"], ["--dt", "inf"],
+    ["--dt", "20"],  # horizon 10 / dt 20 rounds to 0 steps
+    ["--dt", "1e-320", "--horizon", "1e10"],  # an infinite step count
+])
+def test_check_rejects_step_settings_that_check_nothing(tmp_path, capsys, flags):
+    report = tmp_path / "r.json"
+    assert main(["check", "--n", "2", "--trials", "1", "--report", str(report)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "pass" not in captured.out and not report.exists()
+
+
 def test_check_seed_env_fallback(tmp_path, monkeypatch, capsys):
     r1 = str(tmp_path / "r1.json")
     r2 = str(tmp_path / "r2.json")
@@ -312,6 +341,24 @@ def test_oracle_usage_errors(capsys):
     assert main(["oracle", "--alpha", "zero", "--point", "a,b,c,d"]) == 2
     assert main(["oracle", "--alpha", "zero", "--point", "1,2,3,4", "--n", "3"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("point", ["nan,0,0,0", "0,inf,0,0", "0,0,-inf,0,0,0"])
+def test_oracle_rejects_a_non_finite_point(capsys, point):
+    assert main(["oracle", "--alpha", "random", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --point must be finite")
+    assert captured.out == ""
+
+
+def test_oracle_names_the_component_that_overflows(capsys):
+    # a finite point where the random 2-form's field overflows
+    assert main(["oracle", "--alpha", "random", "--seed", "0",
+                 "--point", "1e200,0,1e200,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: non-finite evaluation in component qdot1 "
+                            "at --point 1e200,0,1e200,0\n")
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------------- top level

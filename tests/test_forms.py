@@ -195,7 +195,7 @@ def test_poly_variables():
 
 
 def test_scalar_field_fd_gradient():
-    f = ScalarField(lambda x: np.sin(x[..., 0]) * x[..., 1], name="sinxy")
+    f = ScalarField(lambda x: np.sin(x[..., 0]) * x[..., 1])
     pts = np.array([[0.3, 2.0], [1.1, -0.5]])
     assert check_gradient(f, pts) < 1e-8
 

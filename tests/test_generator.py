@@ -30,6 +30,7 @@ from volflow import (
     omega_power,
     d_at_point,
 )
+from volflow import generator
 from volflow.forms import _fd_jacobian
 from volflow.generator import _MonomialMap, _check_finite, _field_terms
 from volflow.systems import random_polynomial
@@ -214,6 +215,52 @@ def test_compiled_field_overflow_is_reported():
     assert integrate(X, x, 1e-3, 5).failed
 
 
+# ------------------------------------------------ X = sum of M_f grad f, by pairs
+
+
+def _symplectic(n):
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:], J[n:, :n] = np.eye(n), -np.eye(n)
+    return J
+
+
+def test_field_is_the_sum_of_m_f_grad_f():
+    rng = np.random.default_rng(12)
+    q, p = poly_variables(2)
+    alphas = [random_two_form(n, rng) for n in (2, 3, 4) for _ in range(4)]
+    alphas.append(hamiltonian_two_form(random_polynomial(6, rng), 3))  # one shared f
+    alphas.append(TwoFormField(2, Q={(0, 1): q[1] * p[0]},  # a non-polynomial component
+                               A={(0, 1): _wavy_hamiltonian(), (1, 1): p[0] * p[0]}))
+    for alpha in alphas:
+        dim = 2 * alpha.n
+        pairs = _field_terms(alpha)
+        stored = {id(f): f for *_, f in alpha.components()}
+        assert sorted(id(f) for f, _ in pairs) == sorted(stored)
+        x = rng.normal(size=(6, dim))
+        want = np.zeros_like(x)
+        for f, M in pairs:
+            assert M.shape == (dim, dim) and M.any()
+            assert np.array_equal(M, -M.T) and np.array_equal(M, np.round(M))
+            want += f.gradient(x) @ M.T
+        got = generate(alpha)(x)
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-12
+    # the Hamiltonian 2-form H omega/(n-1): one pair (H/(n-1), (n-1) J)
+    (f, M), = _field_terms(alphas[-2])
+    assert f is alphas[-2].A_entry(0, 0) and np.array_equal(M, 2.0 * _symplectic(3))
+
+
+def test_hamiltonian_field_is_the_single_pair_h_j(monkeypatch):
+    built, real = [], generator._field
+    monkeypatch.setattr(generator, "_field",
+                        lambda n, pairs, kind: built.append(pairs) or real(n, pairs, kind))
+    rng = np.random.default_rng(13)
+    for n, H in [(1, random_polynomial(2, rng)), (2, random_polynomial(4, rng)),
+                 (3, random_polynomial(6, rng)), (2, _wavy_hamiltonian())]:
+        hamiltonian_field(H, n)
+        (f, M), = built.pop()
+        assert f is H and np.array_equal(M, _symplectic(n))
+
+
 # ------------------------------------------------------------ the exact tangent
 
 
@@ -326,7 +373,8 @@ def test_monomial_kernel_batches_and_terms(case):
     alpha = _kernel_cases()[case]
     dim = 2 * alpha.n
     X = generate(alpha)
-    first = [(a, sign, f.partial(d)) for a, sign, f, d in _field_terms(alpha)]
+    first = [(a, M[a, d], f.partial(d))
+             for f, M in _field_terms(alpha) for a, d in zip(*np.nonzero(M))]
     second = [(dim + a * dim + b, sign, g.partial(b))
               for a, sign, g in first for b in range(dim)]
     compiled = {"X": (X._eval_fn, first), "tangent": (X.tangent_map(), first + second)}

@@ -1,8 +1,10 @@
-"""The sampling runner behind the sampled `check` suites."""
+"""The sampling runner behind the sampled `check` suites, and the exact
+certificates that the suites take from the pairs (f, M_f)."""
 
 import numpy as np
 import pytest
 
+from volflow import verify
 from volflow.verify import TOLERANCES, _sampled
 
 
@@ -60,3 +62,22 @@ def test_by_n_reports_each_n_worst():
     assert result.max_residual == 4.0 and not result.passed
     plain = _sampled("poisson_trace", case, (2, 3), (2, 3), 2, seed=0)
     assert plain.detail == {}
+
+
+def test_the_exact_certificates_fail_on_a_wrong_pair(monkeypatch):
+    # the certificates read verify's own `_field_terms`; the fields do not
+    real = verify._field_terms
+    assert verify.check_divergence_free((2, 3), 8, seed=0).passed
+    assert verify.check_hamiltonian_reduction((2, 3), 2, seed=0).passed
+
+    def skewed(alpha):  # M_f no longer antisymmetric
+        return [(f, M + np.eye(len(M), k=1)) for f, M in real(alpha)]
+
+    monkeypatch.setattr(verify, "_field_terms", skewed)
+    result = verify.check_divergence_free((2, 3), 8, seed=0)
+    assert result.max_residual == 1.0 and not result.passed
+    assert verify.check_hamiltonian_reduction((2, 3), 2, seed=0).max_residual == 1.0
+    # H omega/(n-1) must be exactly one pair
+    monkeypatch.setattr(verify, "_field_terms", lambda alpha: real(alpha) * 2)
+    result = verify.check_hamiltonian_reduction((2, 3), 2, seed=0)
+    assert result.max_residual == np.inf and not result.passed
