@@ -29,6 +29,10 @@ from .verify import _oracle_solve, run_all
 
 SYMPLECTIC_THRESHOLD = 1e-6
 
+# The most steps `check --horizon / --dt` may ask of the volume suite: 100
+# times the 10^4 of the defaults.
+_MAX_CHECK_STEPS = 10**6
+
 USAGE_ERROR = 2
 FAILURE = 1
 
@@ -209,9 +213,9 @@ def cmd_check(args) -> int:
         if not (0 < args.dt < np.inf and 0 < args.horizon < np.inf):
             raise ConfigError("--dt and --horizon must be finite and positive")
         steps = args.horizon / args.dt
-        if not (np.isfinite(steps) and round(steps) >= 1):
-            raise ConfigError("--horizon / --dt must round to a finite step count "
-                              f">= 1, not {steps:g}")
+        if not (np.isfinite(steps) and 1 <= round(steps) <= _MAX_CHECK_STEPS):
+            raise ConfigError("--horizon / --dt must round to a step count in "
+                              f"1..{_MAX_CHECK_STEPS}, not {steps:g}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

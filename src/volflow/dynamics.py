@@ -1,6 +1,8 @@
 """Flow integration and flow-level diagnostics.
 
-Integration is classical fixed-step RK4, batched over leading axes.  Flow
+Integration is classical fixed-step RK4, batched over leading axes; a
+batch wider than `generator._CHUNK` points is stepped and evaluated in
+slices of at most that many points, so its temporaries stay small.  Flow
 Jacobians come from RK4 on the variational equation: the path is stepped
 on the unchecked field, and every 64 steps one batched DX at their stage
 points gives the step Jacobians.  DX is exact for a field with an exact
@@ -29,7 +31,7 @@ from .forms import (
     _fd_jacobian,
     as_points,
 )
-from .generator import GeneratedField, _symplectic_matrix, generate
+from .generator import GeneratedField, _in_chunks, _symplectic_matrix, generate
 
 __all__ = [
     "Trajectory",
@@ -106,9 +108,12 @@ def _sample_times(dt: float, steps: int, every: int) -> np.ndarray:
 def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajectory:
     """Integrate xdot = field(x) with fixed-step RK4.
 
-    Samples are recorded at step 0 and every `sample_every`-th step.  If a
-    step produces a non-finite state the trajectory is truncated at the
-    last finite sample and marked failed rather than raising.
+    Samples are recorded at step 0 and every `sample_every`-th step.  A
+    batch wider than `generator._CHUNK` points takes each whole RK4 step a
+    slice of points at a time (`generator._in_chunks`), so no temporary
+    grows with the batch.  If a field call raises, or a step produces a
+    non-finite state, in any slice, the whole trajectory is truncated at
+    the last finite sample and marked failed rather than raising.
     """
     x = _initial_state(field, x0, dt, steps, sample_every)
     dt = float(dt)
@@ -117,11 +122,12 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     states[0] = x
     write = 1
     failed = False
+    step = partial(_rk4_step, field, dt=dt)
 
     for k in range(1, steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                x = _rk4_step(field, x, dt)
+                x = _in_chunks(step, x, x.shape[-1])
         except (FieldEvaluationError, FloatingPointError, OverflowError):
             failed = True
             break

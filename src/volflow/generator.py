@@ -162,6 +162,32 @@ def _field_terms(alpha: TwoFormField):
     return list(pairs.values())
 
 
+# Points that one call evaluates or steps at once: `_in_chunks` takes a wider
+# batch a slice at a time, so no temporary grows with the batch.
+_CHUNK = 1024
+
+
+def _in_chunks(fn: Callable, pts: np.ndarray, width: int) -> np.ndarray:
+    """The pointwise fn on (..., k) points, as (..., width).
+
+    A single point or at most `_CHUNK` points go to fn as they are.  A wider
+    batch is flattened to (N, k) and fn runs on consecutive slices of equal
+    size, give or take one point, each written into one (N, width) output.
+    A slice is at most `_CHUNK` points wide and never a single point, whose
+    matrix product takes another BLAS routine: each row is then the one a
+    single call on the whole batch gives, bit for bit.
+    """
+    if pts.ndim < 2 or pts.size <= _CHUNK * pts.shape[-1]:
+        return fn(pts)
+    flat = pts.reshape(-1, pts.shape[-1])
+    out = np.empty((len(flat), width))
+    count = -(-len(flat) // _CHUNK)
+    edges = [len(flat) * i // count for i in range(count + 1)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        out[start:stop] = fn(flat[start:stop])
+    return out.reshape(pts.shape[:-1] + (width,))
+
+
 class _MonomialMap:
     """Y(x) = m(x) @ C, m the monomials of one basis, C one column per output.
 
@@ -179,6 +205,8 @@ class _MonomialMap:
     puts the outputs back in point order.  Multiplying by the padding 1.0 is
     exact and the non-unit factors are multiplied in coordinate order, so
     each monomial is exactly the coordinate-order product of all its powers.
+    A batch wider than `_CHUNK` points is evaluated a slice at a time
+    (`_in_chunks`), so the tables stay at most `_CHUNK` points wide.
     """
 
     def __init__(self, dim: int, terms, names):
@@ -203,6 +231,9 @@ class _MonomialMap:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
+        return _in_chunks(self._table_product, pts, self.C.shape[1])
+
+    def _table_product(self, pts: np.ndarray) -> np.ndarray:
         x = pts.T
         dim = x.shape[0]
         table = np.empty(((self.deg + 1) * dim,) + x.shape[1:])

@@ -278,6 +278,7 @@ def test_check_usage_errors(capsys):
     ["--dt", "nan"], ["--horizon", "nan"], ["--horizon", "inf"], ["--dt", "inf"],
     ["--dt", "20"],  # horizon 10 / dt 20 rounds to 0 steps
     ["--dt", "1e-320", "--horizon", "1e10"],  # an infinite step count
+    ["--dt", "1e-300"],  # a finite step count far above _MAX_CHECK_STEPS
 ])
 def test_check_rejects_step_settings_that_check_nothing(tmp_path, capsys, flags):
     report = tmp_path / "r.json"

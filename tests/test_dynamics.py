@@ -25,6 +25,7 @@ from volflow import (
     trace_of,
     wedge,
 )
+from volflow import generator
 from volflow.dynamics import _BLOCK, _dx_source, _one_pass, _rk4_block
 from volflow.systems import (
     COUPLED_K,
@@ -102,6 +103,30 @@ def test_integrate_truncates_on_blowup():
     assert np.all(np.isfinite(traj.states))
     assert traj.last_valid_index == traj.states.shape[0] - 1
     assert np.all(np.diff(traj.times) > 0)
+
+
+def test_a_wide_batch_steps_in_slices_as_one_batch(monkeypatch):
+    """A batch wider than `_CHUNK` points is stepped a slice at a time, bit
+    for bit as one batch, and a point in the last slice that blows up cuts
+    the whole batch where its own run is cut."""
+    sys_, chunk = random_alpha_system(n=3, seed=2), generator._CHUNK
+    dt, steps, last = 1e-2, 8, chunk + 3
+    good = sys_.default_x0 + 0.05 * np.random.default_rng(7).standard_normal((chunk + 5, 6))
+    bad = good.copy()
+    bad[last] = 1e3
+    sliced, cut = [integrate(sys_.field, x, dt, steps) for x in (good, bad)]
+    alone = integrate(sys_.field, bad[last], dt, steps)
+    monkeypatch.setattr(generator, "_CHUNK", 10 * len(good))  # one slice
+    whole, whole_cut = [integrate(sys_.field, x, dt, steps) for x in (good, bad)]
+
+    assert not sliced.failed and np.array_equal(sliced.states, whole.states)
+    assert alone.failed and alone.last_valid_index == 4  # cut at step 5
+    assert cut.failed and cut.last_valid_index == alone.last_valid_index
+    assert np.array_equal(cut.times, alone.times)
+    assert np.array_equal(cut.states, whole_cut.states)
+    assert np.array_equal(cut.states[:, :last], sliced.states[:5, :last])
+    # its own run steps at batch 1, through BLAS's vector routine
+    assert np.allclose(cut.states[:, last], alone.states, rtol=1e-12, atol=0.0)
 
 
 def test_integrate_validates_arguments():

@@ -1,5 +1,6 @@
 """Vector-field generation from 2-forms and the block-tensor route."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,8 +33,8 @@ from volflow import (
 )
 from volflow import generator
 from volflow.forms import _fd_jacobian
-from volflow.generator import _MonomialMap, _check_finite, _field_terms
-from volflow.systems import random_polynomial
+from volflow.generator import _CHUNK, _MonomialMap, _check_finite, _field_terms
+from volflow.systems import random_alpha_system, random_polynomial
 
 
 def _witness_alpha():
@@ -396,6 +397,38 @@ def test_monomial_kernel_batches_and_terms(case):
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want)), initial=0.0) <= 1e-13
             for i in np.ndindex(shape):
                 assert np.array_equal(got[i], fmap(x[i])), (name, shape, i)
+
+
+@pytest.mark.parametrize("shape", [(2 * _CHUNK + 3,), (2, _CHUNK + 1), (_CHUNK + 1,)])
+def test_wide_batches_evaluate_in_slices_as_one_call(shape):
+    """A batch wider than `_CHUNK` points is evaluated a slice at a time:
+    every row is the one a single table product over the whole batch gives,
+    bit for bit.  (A call at one point takes BLAS's vector routine, which
+    may round the last bit differently; no slice is one point.)"""
+    field = random_alpha_system(n=3, seed=2).field
+    x = 0.1 + np.random.default_rng(11).standard_normal(shape + (6,))
+    for fmap in (field._eval_fn, field.tangent_map()):
+        got = fmap(x)
+        assert got.shape == shape + (fmap.C.shape[1],)
+        assert np.array_equal(got, fmap._table_product(x))
+
+
+def test_a_wide_call_allocates_one_slice_of_temporaries():
+    """What one call allocates beyond its output does not grow with the
+    batch (4x from 4 * _CHUNK to 16 * _CHUNK points when unsliced)."""
+    field = random_alpha_system(n=3, seed=2).field
+    for fmap in (field._eval_fn, field.tangent_map()):
+        extra = []
+        for count in (4 * _CHUNK, 16 * _CHUNK):
+            x = np.random.default_rng(0).standard_normal((count, 6))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = fmap(x)
+                extra.append(tracemalloc.get_traced_memory()[1] - before - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert 0 < extra[1] <= 1.05 * extra[0], extra
 
 
 def test_monomial_map_finite_check():
