@@ -24,7 +24,8 @@ import numpy as np
 from .forms import FieldEvaluationError, Polynomial, TwoFormField, hamiltonian_two_form
 from .generator import _names, generate
 from .dynamics import monitor
-from .systems import _parameters, build_system, coupled_oscillators, random_two_form
+from .systems import (_integer, _parameters, build_system, coupled_oscillators,
+                      random_two_form)
 from .verify import _oracle_solve, run_all
 
 SYMPLECTIC_THRESHOLD = 1e-6
@@ -95,15 +96,19 @@ class RunConfig:
                 return flag
             return config_data.get(key, fallback)
 
+        def optional_integer(key):
+            value = config_data.get(key)
+            return None if value is None else _integer(key, value)
+
         cfg = cls(
             system_name=str(system["name"]),
             system_params=params,
             dt=float(pick(args.dt, "dt", 1e-3)),
-            steps=int(pick(args.steps, "steps", 1000)),
-            sample_every=int(config_data.get("sample_every", 1)),
+            steps=_integer("steps", pick(args.steps, "steps", 1000)),
+            sample_every=_integer("sample_every", config_data.get("sample_every", 1)),
             x0=config_data.get("x0"),
-            n=config_data.get("n"),
-            seed=config_data.get("seed"),
+            n=optional_integer("n"),
+            seed=optional_integer("seed"),
             trajectory_path=str(args.out or outputs.get("trajectory", "trajectory.csv")),
             diagnostics_path=str(args.diag or outputs.get("diagnostics", "diagnostics.json")),
         )
@@ -143,9 +148,9 @@ def cmd_simulate(args) -> int:
         if "seed" in accepted:
             params.setdefault("seed", _seed_fallback(cfg.seed, 0))
         if cfg.n is not None and "n" in accepted:
-            params.setdefault("n", int(cfg.n))
+            params.setdefault("n", cfg.n)
         system = build_system(cfg.system_name, **params)
-        if cfg.n is not None and int(cfg.n) != system.n:
+        if cfg.n is not None and cfg.n != system.n:
             raise ConfigError(f"config.n = {cfg.n} but system has n = {system.n}")
         x0 = system.default_x0 if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
         if x0.shape != (2 * system.n,):

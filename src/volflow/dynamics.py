@@ -81,12 +81,19 @@ class Trajectory:
 
 
 def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step from x."""
+    """One RK4 step from x, x + dt/6 (k1 + 2 k2 + 2 k3 + k4): the one RK4
+    formula, for `integrate` and `_rk4_block`.
+
+    2 k is taken as k + k, which is exact like 2.0 * k and costs less.  It
+    is never doubled in place: a field may return an array its caller
+    still holds.
+    """
+    h = 0.5 * dt
     k1 = field(x)
-    k2 = field(x + 0.5 * dt * k1)
-    k3 = field(x + 0.5 * dt * k2)
+    k2 = field(x + h * k1)
+    k3 = field(x + h * k2)
     k4 = field(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 def _initial_state(field, x0, dt: float, steps: int, *intervals: int) -> np.ndarray:
@@ -183,13 +190,16 @@ def _fd_dx(X, pts: np.ndarray) -> np.ndarray:
 
 def _rk4_block(X, dx, x: np.ndarray, dt: float,
                steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Up to `steps` RK4 steps from x, and their Jacobians.
+    """`steps` RK4 steps from x, and their Jacobians.
 
-    The steps run on the unchecked field X, recording each stage point, and
-    stop after the first non-finite state; a stage whose call raised is NaN.
-    One call of the DX source `dx` (see `_dx_source`) on the stage points
-    then gives every DX, and each step Jacobian S is RK4 on the variational
-    equation (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with
+    The steps run on the unchecked field X, recording each stage point; a
+    stage whose call raised is NaN.  The block takes all its steps, also
+    past a non-finite state (as NaN arithmetic, under the caller's
+    `np.errstate`): `_one_pass` tests every state and S once per block and
+    cuts at the first that is not finite.  One call of the DX source `dx`
+    (see `_dx_source`) on the stage points then gives every DX, and each
+    step Jacobian S is RK4 on the variational equation
+    (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with
     DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
     dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
     S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
@@ -210,8 +220,6 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float,
     for _ in range(steps):
         x = _rk4_step(stage, x, dt)
         xs.append(x)
-        if not np.isfinite(x).all():
-            break
     dim = x.shape[0]
     D = dx(np.array(stages)).reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
@@ -243,10 +251,12 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     states, the flow-Jacobian determinants are one `cumprod` of the det S
     (the chain rule), and one call of the DX source gives DX at the sample
     states and at the last state.  `calls` counts the field calls that
-    stepped the path, four per completed step.  A non-finite state or step
-    Jacobian ends the pass, marked failed: the trajectory keeps the steps
-    before it.  A last state whose DX is not finite also marks the pass
-    failed, and its sample is dropped.
+    stepped the path, four per completed step.  The failure rule is one
+    test per block, the `good` mask over its states and S: the first
+    non-finite state or step Jacobian ends the pass, marked failed, and the
+    trajectory keeps the steps before it.  The steps that the block took
+    past it are dropped, uncounted.  A last state whose DX is not finite
+    also marks the pass failed, and its sample is dropped.
     """
     x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
     if x.ndim != 1:

@@ -205,7 +205,14 @@ class _MonomialMap:
     puts the outputs back in point order.  Multiplying by the padding 1.0 is
     exact and the non-unit factors are multiplied in coordinate order, so
     each monomial is exactly the coordinate-order product of all its powers.
-    A batch wider than `_CHUNK` points is evaluated a slice at a time
+
+    The evaluation plan is fixed here, once: the power table's row count,
+    the (lo, mid, hi) row spans that fill power e from power e - 1, and the
+    first row of `factors`, which the gather starts from, apart from the
+    list of the others.  A call runs that plan and does no other work,
+    which matters at a single point, where numpy's fixed cost per call is
+    most of the time.  A single point goes straight to the table product;
+    a batch wider than `_CHUNK` points is evaluated a slice at a time
     (`_in_chunks`), so the tables stay at most `_CHUNK` points wide.
     """
 
@@ -228,21 +235,26 @@ class _MonomialMap:
         width = max(int(nonunit.sum(axis=1).max(initial=0)), 1)
         self.factors = np.take_along_axis(flat, order, axis=1)[:, :width].T
         self.names = names
+        self._rows = (self.deg + 1) * dim
+        self._spans = [((e - 1) * dim, e * dim, (e + 1) * dim)
+                       for e in range(1, self.deg + 1)]
+        self._first, self._rest = self.factors[0], list(self.factors[1:])
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
+        if pts.ndim == 1:
+            return self._table_product(pts)
         return _in_chunks(self._table_product, pts, self.C.shape[1])
 
     def _table_product(self, pts: np.ndarray) -> np.ndarray:
         x = pts.T
-        dim = x.shape[0]
-        table = np.empty(((self.deg + 1) * dim,) + x.shape[1:])
-        table[:dim] = 1.0
-        for e in range(1, self.deg + 1):
-            np.multiply(table[(e - 1) * dim:e * dim], x, out=table[e * dim:(e + 1) * dim])
-        monos = table[self.factors[0]]
-        for col in self.factors[1:]:
-            monos *= table[col]
+        table = np.empty((self._rows,) + x.shape[1:])
+        table[:x.shape[0]] = 1.0
+        for lo, mid, hi in self._spans:
+            np.multiply(table[lo:mid], x, out=table[mid:hi])
+        monos = table[self._first]
+        for rows in self._rest:
+            monos *= table[rows]
         return monos.T @ self.C
 
 

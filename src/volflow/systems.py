@@ -140,6 +140,19 @@ class SystemInstance:
     invariants_expected: Dict[str, bool] = dc_field(default_factory=dict)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool, a number with a fractional part or anything
+    `int` refuses raises `ValueError` naming `name`, so no setting is
+    silently truncated."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _default_linear_x0(n: int) -> np.ndarray:
     x0 = np.zeros(2 * n)
     x0[0] = 1.0
@@ -151,6 +164,8 @@ def linear_system(k, name: str = "linear") -> SystemInstance:
     """System from qddot = -k q; the 2-form route for n >= 2, and for n = 1
     (where k has no antisymmetric part) the Hamiltonian field of H."""
     spec = LinearSystemSpec(np.asarray(k, dtype=float))
+    if spec.n < 1:
+        raise ValueError("linear systems need n >= 1")
     symplectic = bool(np.allclose(spec.a, 0.0))
     if spec.n >= 2:
         alpha = linear_system_two_form(spec)
@@ -178,6 +193,8 @@ def harmonic_oscillator(n: int = 2, omega_freqs=None) -> SystemInstance:
     period 2 pi.  The analytic solution is the componentwise rotation
     q_i(t) = q_i cos(w_i t) + (p_i/w_i) sin(w_i t).
     """
+    if n < 1:
+        raise ValueError("harmonic oscillators need n >= 1")
     if omega_freqs is None:
         omega_freqs = np.ones(n)
     w = np.asarray(omega_freqs, dtype=float)
@@ -342,7 +359,7 @@ def zero_system(n: int = 2) -> SystemInstance:
 
 
 def _build_harmonic(n=2, omega_freqs=None):
-    return harmonic_oscillator(int(n), omega_freqs)
+    return harmonic_oscillator(_integer("n", n), omega_freqs)
 
 
 def _build_coupled():
@@ -357,7 +374,7 @@ def _build_linear(k=None):
 
 def _build_drift(n=2, coupling=0.25, a=None, q0=None):
     if a is None:
-        n = int(n)
+        n = _integer("n", n)
         if n < 2:
             raise ValueError("drift systems need n >= 2")
         a = np.zeros((n, n))
@@ -367,11 +384,12 @@ def _build_drift(n=2, coupling=0.25, a=None, q0=None):
 
 
 def _build_random(n=2, seed=0, degree=3, scale=0.1):
-    return random_alpha_system(int(n), int(seed), int(degree), float(scale))
+    return random_alpha_system(_integer("n", n), _integer("seed", seed),
+                               _integer("degree", degree), float(scale))
 
 
 def _build_zero(n=2):
-    return zero_system(int(n))
+    return zero_system(_integer("n", n))
 
 
 SYSTEM_BUILDERS = {

@@ -148,6 +148,33 @@ def test_simulate_usage_errors(tmp_path, capsys):
     mismatch = _zero_config(tmp_path, n=3)
     assert main(["simulate", "--config", mismatch]) == 2
     capsys.readouterr()
+    no_freedom = _write_config(tmp_path, "n0.json", {"system": "harmonic", "n": 0})
+    assert main(["simulate", "--config", no_freedom]) == 2
+    assert capsys.readouterr().err == "error: harmonic oscillators need n >= 1\n"
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("steps", 10.7), ("steps", True), ("steps", "ten"), ("steps", None),
+    ("sample_every", 2.5), ("sample_every", False),
+    ("n", 2.5), ("n", True), ("seed", 0.5), ("seed", False),
+])
+def test_simulate_rejects_a_config_number_that_is_not_an_integer(tmp_path, capsys,
+                                                                 key, bad):
+    cfg = _zero_config(tmp_path, **{key: bad})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be an integer, got {bad!r}\n"
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_takes_integral_config_numbers(tmp_path, capsys):
+    cfg = _zero_config(tmp_path, steps=10.0, sample_every=2.0, n=2.0, seed=7.0,
+                       system={"name": "zero", "params": {"n": 2.0}})
+    assert main(["simulate", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "diag.json").read_text())["rows_written"] == 6
+    bad = _zero_config(tmp_path, system={"name": "random-alpha", "params": {"n": 2.5}},
+                       x0=None)
+    assert main(["simulate", "--config", bad]) == 2
+    assert capsys.readouterr().err == "error: n must be an integer, got 2.5\n"
 
 
 @pytest.mark.parametrize("system, bad", [

@@ -1,5 +1,7 @@
 """Flow integration, volume tracking, and the pointwise identity checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -575,6 +577,29 @@ def test_monitor_drops_a_sample_whose_jacobian_overflows():
     assert (len(every.trajectory.states), len(every.states)) == (81, 80)
     diag = monitor(X, x0, 0.5, 200, sample_every=10, trajectory_every=5)
     assert (len(diag.trajectory.states), len(diag.states)) == (17, 8)
+
+
+def test_a_polynomial_state_that_overflows_mid_block():
+    # H = -q p^2: q' = -2 q p, p' = p^2, so p = 1/(1 - t) from (1, 1); step
+    # 36 overflows to NaN inside the first block, which steps on through NaN,
+    # and the pass is cut after step 35
+    q, p = poly_variables(1)
+    X = hamiltonian_field(-(q[0] * p[0] * p[0]), 1)
+    x0, dt, steps = np.array([1.0, 1.0]), 0.03, 200
+    assert 36 < _BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diag = monitor(X, x0, dt, steps, sample_every=5, trajectory_every=1)
+        traj = integrate(X, x0, dt, steps)
+        with pytest.raises(FloatingPointError):
+            flow_jacobian_dets(X, x0, dt, steps)
+    assert diag.failed and diag.trajectory.failed
+    assert diag.trajectory.last_valid_index == 35
+    assert diag.field_evaluations == 4 * 35
+    assert len(diag.states) == len(diag.times) == 8
+    assert traj.failed and traj.last_valid_index == 35
+    assert np.array_equal(diag.trajectory.states, traj.states)
+    assert np.isfinite(traj.states).all()
 
 
 @pytest.mark.parametrize("sys", [coupled_oscillators(), random_alpha_system(3, 2)],

@@ -33,8 +33,9 @@ from volflow import (
 )
 from volflow import generator
 from volflow.forms import _fd_jacobian
+from volflow.dynamics import _BLOCK
 from volflow.generator import _CHUNK, _MonomialMap, _check_finite, _field_terms
-from volflow.systems import random_alpha_system, random_polynomial
+from volflow.systems import coupled_oscillators, random_alpha_system, random_polynomial
 
 
 def _witness_alpha():
@@ -397,6 +398,67 @@ def test_monomial_kernel_batches_and_terms(case):
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want)), initial=0.0) <= 1e-13
             for i in np.ndindex(shape):
                 assert np.array_equal(got[i], fmap(x[i])), (name, shape, i)
+
+
+def _reference_table_product(fmap, pts):
+    """The table product written out per call, the reference for the fixed
+    plan: it works out the power rows from `deg` and gathers the factor
+    rows of `factors` on every call, then takes `@`."""
+    x = pts.T
+    dim = x.shape[0]
+    table = np.empty(((fmap.deg + 1) * dim,) + x.shape[1:])
+    table[:dim] = 1.0
+    for e in range(1, fmap.deg + 1):
+        np.multiply(table[(e - 1) * dim:e * dim], x, out=table[e * dim:(e + 1) * dim])
+    monos = table[fmap.factors[0]]
+    for col in fmap.factors[1:]:
+        monos *= table[col]
+    return monos.T @ fmap.C
+
+
+def _plan_cases():
+    fields = {"coupled": coupled_oscillators().field,
+              "random-n3": random_alpha_system(3, 2).field}
+    fields.update((name, generate(alpha)) for name, alpha in _kernel_cases().items())
+    return fields
+
+
+@pytest.mark.parametrize("case", sorted(_plan_cases()))
+def test_the_evaluation_plan_keeps_every_bit(case):
+    """The plan fixed at compile time evaluates X and [X | DX] bit for bit
+    as the per-call table product does: at single points (a BLAS vector
+    product), at 2-D batches and at a 3-D batch (where `np.dot` and `@`
+    round differently)."""
+    field = _plan_cases()[case]
+    rng = np.random.default_rng(14)
+    for fmap in (field._eval_fn, field.tangent_map()):
+        for shape in [(), (), (), (2,), (9,), (3, 5)]:
+            x = rng.normal(size=shape + (2 * field.n,))
+            got = fmap(x)
+            assert got.shape == shape + (fmap.C.shape[1],)
+            assert np.array_equal(got, _reference_table_product(fmap, x)), (case, shape)
+
+
+@pytest.mark.parametrize("case", ["coupled", "random-n3"])
+def test_one_path_steps_the_reference_rk4_bit_for_bit(case):
+    """`monitor` and `integrate` step one point as a plain loop of
+    x + (dt/6)(k1 + 2.0 k2 + 2.0 k3 + k4) on the reference table product,
+    across three blocks of `_BLOCK` steps and a partial one."""
+    field = _plan_cases()[case]
+    x, dt, steps = np.full(2 * field.n, 0.3), 1e-2, 3 * _BLOCK + 5
+    fmap = field._eval_fn
+    want = [x]
+    for _ in range(steps):
+        k1 = _reference_table_product(fmap, x)
+        k2 = _reference_table_product(fmap, x + 0.5 * dt * k1)
+        k3 = _reference_table_product(fmap, x + 0.5 * dt * k2)
+        k4 = _reference_table_product(fmap, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        want.append(x)
+    diag = monitor(field, want[0], dt, steps, sample_every=steps, trajectory_every=1)
+    assert not diag.failed
+    assert np.array_equal(diag.trajectory.states, want)
+    assert np.array_equal(integrate(field, want[0], dt, steps).states, want)
 
 
 @pytest.mark.parametrize("shape", [(2 * _CHUNK + 3,), (2, _CHUNK + 1), (_CHUNK + 1,)])

@@ -286,6 +286,13 @@ def test_built_systems_have_exact_tangent():
             assert sys.field.exact_tangent, name
 
 
+def test_linear_builders_need_a_degree_of_freedom():
+    for build in (lambda: harmonic_oscillator(0), lambda: harmonic_oscillator(-1),
+                  lambda: linear_system(np.zeros((0, 0)))):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            build()
+
+
 def test_linear_n1_is_the_direct_field():
     sys = linear_system([[2.5]])
     direct = LinearSystemSpec(np.array([[2.5]])).direct_field()
