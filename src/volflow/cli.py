@@ -42,6 +42,31 @@ class ConfigError(ValueError):
     pass
 
 
+# The keys a simulate config may hold: at its top level, in `system` and in
+# `outputs`.  Any other key is a config error, so none is silently dropped.
+CONFIG_KEYS = {
+    "config": ("system", "dt", "steps", "sample_every", "x0", "n", "seed", "outputs"),
+    "config.system": ("name", "params"),
+    "config.outputs": ("trajectory", "diagnostics"),
+}
+
+
+def _object(where: str, value) -> dict:
+    """value, a JSON object holding only the keys that CONFIG_KEYS[where] lists."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - set(CONFIG_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"{where} has an unknown key {unknown[0]!r}; "
+                          f"known keys: {', '.join(CONFIG_KEYS[where])}")
+    return value
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _seed_fallback(explicit: Optional[int], default: int) -> int:
     if explicit is not None:
         return int(explicit)
@@ -79,38 +104,49 @@ class RunConfig:
 
     @classmethod
     def from_sources(cls, config_data: Dict[str, object], args) -> "RunConfig":
-        if not isinstance(config_data, dict):
-            raise ConfigError("config root must be a JSON object")
-        system = config_data.get("system", {})
-        if isinstance(system, str):
-            system = {"name": system}
-        if not isinstance(system, dict) or "name" not in system:
-            raise ConfigError("config.system must name a system")
-        params = dict(system.get("params", {}))
-        outputs = config_data.get("outputs", {})
-        if not isinstance(outputs, dict):
-            raise ConfigError("config.outputs must be an object")
-
         def pick(flag, key, fallback):
             if flag is not None:
                 return flag
             return config_data.get(key, fallback)
 
+        _object("config", config_data)
+        system = config_data.get("system", {})
+        if isinstance(system, str):
+            system = {"name": system}
+        _object("config.system", system)
+        if not isinstance(system.get("name"), str):
+            raise ConfigError("config.system must name a system")
+        params = system.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("config.system.params must be a JSON object")
+        outputs = _object("config.outputs", config_data.get("outputs", {}))
+        dt, x0 = pick(args.dt, "dt", 1e-3), config_data.get("x0")
+        if not _is_number(dt):
+            raise ConfigError(f"dt must be a number, got {dt!r}")
+        if not (x0 is None or isinstance(x0, list) and all(map(_is_number, x0))):
+            raise ConfigError(f"x0 must be a list of numbers, got {x0!r}")
+
         def optional_integer(key):
             value = config_data.get(key)
             return None if value is None else _integer(key, value)
 
+        def path(flag, key, fallback):
+            value = flag or outputs.get(key, fallback)
+            if not (isinstance(value, str) and value):
+                raise ConfigError(f"config.outputs.{key} must be a file name, got {value!r}")
+            return value
+
         cfg = cls(
-            system_name=str(system["name"]),
-            system_params=params,
-            dt=float(pick(args.dt, "dt", 1e-3)),
+            system_name=system["name"],
+            system_params=dict(params),
+            dt=float(dt),
             steps=_integer("steps", pick(args.steps, "steps", 1000)),
             sample_every=_integer("sample_every", config_data.get("sample_every", 1)),
-            x0=config_data.get("x0"),
+            x0=x0,
             n=optional_integer("n"),
             seed=optional_integer("seed"),
-            trajectory_path=str(args.out or outputs.get("trajectory", "trajectory.csv")),
-            diagnostics_path=str(args.diag or outputs.get("diagnostics", "diagnostics.json")),
+            trajectory_path=path(args.out, "trajectory", "trajectory.csv"),
+            diagnostics_path=path(args.diag, "diagnostics", "diagnostics.json"),
         )
         cfg.validate()
         return cfg
@@ -149,7 +185,10 @@ def cmd_simulate(args) -> int:
             params.setdefault("seed", _seed_fallback(cfg.seed, 0))
         if cfg.n is not None and "n" in accepted:
             params.setdefault("n", cfg.n)
-        system = build_system(cfg.system_name, **params)
+        try:
+            system = build_system(cfg.system_name, **params)
+        except TypeError as exc:  # a parameter of a type its builder cannot take
+            raise ConfigError(f"config.system.params: {exc}")
         if cfg.n is not None and cfg.n != system.n:
             raise ConfigError(f"config.n = {cfg.n} but system has n = {system.n}")
         x0 = system.default_x0 if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
@@ -157,7 +196,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"x0 must have length {2 * system.n}")
         if not np.isfinite(x0).all():
             raise ConfigError("x0 must be finite (NaN and Infinity are not allowed)")
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # OverflowError: an integer too large for a float, as dt or in x0
+    except (ConfigError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -5,13 +5,15 @@ batch wider than `generator._CHUNK` points is stepped and evaluated in
 slices of at most that many points, so its temporaries stay small.  Flow
 Jacobians come from RK4 on the variational equation: the path is stepped
 on the unchecked field, and every 64 steps one batched DX at their stage
-points gives the step Jacobians.  DX is exact for a field with an exact
-tangent (from the compiled [X | DX] map of a polynomial field) and taken
-by central differences of X for any other.  Diagnostics quantify what the
-generated fields promise: vanishing divergence, unit flow-Jacobian
-determinant, the Lie derivative of the symplectic form, and the
-observable-derivative identity relating df/dt along the flow to an
-exterior product.
+points gives the step Jacobians.  A compiled polynomial field steps one
+point on its map's one-point routine, which works in a power table the map
+keeps, so a field must not be stepped from two threads at once.  DX is
+exact for a field with an exact tangent (from the compiled [X | DX] map of
+a polynomial field) and taken by central differences of X for any other.
+Diagnostics quantify what the generated fields promise: vanishing
+divergence, unit flow-Jacobian determinant, the Lie derivative of the
+symplectic form, and the observable-derivative identity relating df/dt
+along the flow to an exterior product.
 """
 
 from __future__ import annotations
@@ -157,18 +159,21 @@ _BLOCK = 64
 
 
 def _dx_source(field) -> Tuple[Callable, Callable]:
-    """The unchecked X of `field` and its DX source for the step Jacobians.
+    """The unchecked X of `field` at one point, and its DX source for the
+    step Jacobians.
 
-    The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
+    X is a compiled map's one-point routine (`at_point`) when the field has
+    one.  The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
     compiled [X | DX] map when the field has an exact tangent, NaN where a
-    row is not finite; otherwise central differences of X.
+    row is not finite; otherwise central differences of the batch X.
     """
     if not isinstance(field, GeneratedField):
         return field, partial(_fd_dx, field)
     X = field._eval_fn
+    step = getattr(X, "at_point", X)
     if field.exact_tangent:
-        return X, partial(_exact_dx, field.tangent_map())
-    return X, partial(_fd_dx, X)
+        return step, partial(_exact_dx, field.tangent_map())
+    return step, partial(_fd_dx, X)
 
 
 def _exact_dx(tangent_map, pts: np.ndarray) -> np.ndarray:

@@ -68,8 +68,7 @@ class GeneratedField:
         """True when `tangent` is available: the field was compiled from
         `Polynomial`s (a 2-form's components, or a Hamiltonian) and its
         compiled [X | DX] map, which this compiles, has finite coefficients."""
-        return (hasattr(self._eval_fn, "tangent_map")
-                and bool(np.isfinite(self._eval_fn.tangent_map().C).all()))
+        return hasattr(self._eval_fn, "tangent_map") and self._eval_fn.tangent_map().finite
 
     def tangent_map(self) -> Callable[[np.ndarray], np.ndarray]:
         """The compiled map x -> [X | DX] on (..., 2n) points, column
@@ -193,7 +192,8 @@ class _MonomialMap:
 
     `terms` yields (column, c, g): output `column` gains c * g for a float c
     and a `Polynomial` g.  The terms are merged into an (m, dim) exponent
-    basis and an (m, len(names)) coefficient matrix C.
+    basis and an (m, len(names)) coefficient matrix C; `finite` records,
+    once, whether every coefficient is finite.
 
     Evaluation is points-major: on x = pts.T, coordinates first, a call
     fills the ((deg + 1) * dim, ...) power table whose row e * dim + d is
@@ -211,9 +211,16 @@ class _MonomialMap:
     first row of `factors`, which the gather starts from, apart from the
     list of the others.  A call runs that plan and does no other work,
     which matters at a single point, where numpy's fixed cost per call is
-    most of the time.  A single point goes straight to the table product;
-    a batch wider than `_CHUNK` points is evaluated a slice at a time
-    (`_in_chunks`), so the tables stay at most `_CHUNK` points wide.
+    most of the time.  A batch wider than `_CHUNK` points is evaluated a
+    slice at a time (`_in_chunks`), so the tables stay at most `_CHUNK`
+    points wide.
+
+    A single point (`at_point`) is evaluated on a power table kept with the
+    map: allocated once, its unit rows set once, with views of its power-1
+    rows and of each higher power's rows fixed here.  A call copies x into
+    the power-1 rows (the batch path's 1.0 * x, bit for bit), fills the
+    higher powers in place and returns a fresh array.  So a compiled map
+    must not be called from two threads at once.
     """
 
     def __init__(self, dim: int, terms, names):
@@ -226,6 +233,7 @@ class _MonomialMap:
         # monomials whose terms all cancel are dropped
         basis, self.C = _merge_rows(np.vstack(exps), np.concatenate(coeffs),
                                     np.concatenate(cols), len(names))
+        self.finite = bool(np.isfinite(self.C).all())
         self.deg = int(basis.max(initial=0))
         # each row's power-table indices e * dim + d, the non-unit ones
         # moved to the front in coordinate order, the rest pointing at row 0
@@ -239,12 +247,28 @@ class _MonomialMap:
         self._spans = [((e - 1) * dim, e * dim, (e + 1) * dim)
                        for e in range(1, self.deg + 1)]
         self._first, self._rest = self.factors[0], list(self.factors[1:])
+        # the one-point table has a power-1 span even at degree 0
+        self._point = np.ones((max(self.deg, 1) + 1) * dim)
+        self._power1 = self._point[dim:2 * dim]
+        self._point_spans = [(self._point[lo:mid], self._point[mid:hi])
+                             for lo, mid, hi in self._spans[1:]]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
         if pts.ndim == 1:
-            return self._table_product(pts)
+            return self.at_point(pts)
         return _in_chunks(self._table_product, pts, self.C.shape[1])
+
+    def at_point(self, x: np.ndarray) -> np.ndarray:
+        """m(x) @ C at one (dim,) point, on the kept power table."""
+        table, power1 = self._point, self._power1
+        power1[...] = x
+        for lower, higher in self._point_spans:
+            np.multiply(lower, power1, out=higher)
+        monos = table[self._first]
+        for rows in self._rest:
+            monos *= table[rows]
+        return monos.dot(self.C)
 
     def _table_product(self, pts: np.ndarray) -> np.ndarray:
         x = pts.T

@@ -229,6 +229,80 @@ def test_simulate_rejects_malformed_json(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("overrides, where, key", [
+    ({"stpes": 3}, "config", "stpes"),
+    # n inside `system` used to be dropped, and this ran n = 2 for 10 steps
+    ({"system": {"name": "harmonic", "n": 0}, "steps": 10, "stpes": 3}, "config", "stpes"),
+    ({"system": {"name": "zero", "n": 2}}, "config.system", "n"),
+    ({"system": {"name": "zero", "parameters": {"n": 2}}}, "config.system", "parameters"),
+    ({"outputs": {"diag": "d.json"}}, "config.outputs", "diag"),
+])
+def test_simulate_names_the_unknown_key(tmp_path, capsys, monkeypatch, overrides, where, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = _zero_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where} has an unknown key {key!r}; known keys: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"system": {"name": "zero", "params": 5}}, "config.system.params must be a JSON object"),
+    ({"system": {"name": 5}}, "config.system must name a system"),
+    ({"system": ["zero"]}, "config.system must be a JSON object"),
+    ({"outputs": "out.csv"}, "config.outputs must be a JSON object"),
+    ({"dt": None}, "dt must be a number, got None"),
+    ({"dt": [1]}, "dt must be a number, got [1]"),
+    ({"dt": "0.1"}, "dt must be a number, got '0.1'"),
+    ({"dt": True}, "dt must be a number, got True"),
+    ({"x0": {"q1": 1.0}}, "x0 must be a list of numbers, got {'q1': 1.0}"),
+    ({"x0": [True, 2.0, 3.0, 4.0]}, "x0 must be a list of numbers, got [True, 2.0, 3.0, 4.0]"),
+    ({"x0": ["1", 2.0, 3.0, 4.0]}, "x0 must be a list of numbers, got ['1', 2.0, 3.0, 4.0]"),
+    ({"outputs": {"trajectory": None}}, "config.outputs.trajectory must be a file name, got None"),
+    ({"outputs": {"diagnostics": 3}}, "config.outputs.diagnostics must be a file name, got 3"),
+    ({"outputs": {"trajectory": ""}}, "config.outputs.trajectory must be a file name, got ''"),
+])
+def test_simulate_rejects_a_config_value_of_the_wrong_type(tmp_path, capsys, monkeypatch,
+                                                           overrides, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = _zero_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]  # no file named None
+
+
+@pytest.mark.parametrize("overrides", [{"dt": 10 ** 400}, {"x0": [10 ** 400, 0.0, 0.0, 0.0]}])
+def test_simulate_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, overrides):
+    cfg = _zero_config(tmp_path, **overrides)
+    assert main(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("params", [{"scale": None}, {"n": 2, "scale": [0.1]}])
+def test_simulate_rejects_a_parameter_its_builder_cannot_take(tmp_path, capsys, params):
+    cfg = _zero_config(tmp_path, system={"name": "random-alpha", "params": params}, x0=None)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.system.params: ") and err.count("\n") == 1
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_the_readme_simulate_config_runs(tmp_path, capsys):
+    """The config shown under `simulate` in the README is one the parser takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### simulate", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    config = json.loads(block)
+    config["outputs"] = {key: str(tmp_path / name) for key, name in config["outputs"].items()}
+    assert main(["simulate", "--config", _write_config(tmp_path, "readme.json", config)]) == 0
+    diag = json.loads(Path(config["outputs"]["diagnostics"]).read_text())
+    assert diag["failed"] is False and diag["steps"] == config["steps"]
+    assert diag["rows_written"] == config["steps"] // config["sample_every"] + 1
+    capsys.readouterr()
+
+
 # ----------------------------------------------------------------------- check
 
 

@@ -461,6 +461,54 @@ def test_one_path_steps_the_reference_rk4_bit_for_bit(case):
     assert np.array_equal(integrate(field, want[0], dt, steps).states, want)
 
 
+def _point_cases():
+    """Fields whose compiled maps span the one-point table's layouts: no
+    power rows beyond the unit ones, only power 1, several higher powers,
+    and four non-unit factors per monomial."""
+    q, p = poly_variables(2)
+    kernel = _kernel_cases()
+    return {
+        "degree-0": generate(kernel["degree-0"]),
+        "degree-1": coupled_oscillators().field,
+        "degree-4": generate(TwoFormField(2, A={(0, 1): q[0] ** 4 * p[1] - 0.5 * q[1] ** 4},
+                                          P={(0, 1): p[0] ** 3 + q[0] * q[1]})),
+        "four-coordinates": generate(kernel["four-coordinates"]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_point_cases()))
+def test_one_point_calls_keep_every_bit(case):
+    """A call at one point runs on the map's kept power table: each call is
+    `array_equal` to the per-call table product, whatever was called before
+    it (a point or a batch), and returns an array that owns its memory."""
+    field = _point_cases()[case]
+    X, T = field._eval_fn, field.tangent_map()
+    layout = {"degree-0": (X.deg == T.deg == 0), "degree-1": (X.deg == T.deg == 1),
+              "degree-4": (X.deg == T.deg == 4), "four-coordinates": (X.factors.shape[0] >= 3)}
+    assert layout[case]
+    rng = np.random.default_rng(17)
+    dim = 2 * field.n
+    for fmap in (X, T):
+        first, second = rng.normal(size=(2, dim))
+        a = fmap(first)
+        b = fmap.at_point(second)
+        assert np.array_equal(a, _reference_table_product(fmap, first)), case
+        assert np.array_equal(b, _reference_table_product(fmap, second)), case
+        assert not np.shares_memory(a, fmap._point) and not np.shares_memory(b, fmap._point)
+        batch = rng.normal(size=(5, dim))
+        for calls in ((batch, first), (first, batch)):
+            for x in calls:
+                assert np.array_equal(fmap(x), _reference_table_product(fmap, x)), case
+        for bad in (np.nan, np.inf, -np.inf):
+            x = first.copy()
+            x[dim - 1] = bad
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = fmap(x), _reference_table_product(fmap, x)
+                assert np.array_equal(got, want, equal_nan=True), (case, bad)
+                # the kept table holds no trace of the non-finite point
+                assert np.array_equal(fmap(first), a), case
+
+
 @pytest.mark.parametrize("shape", [(2 * _CHUNK + 3,), (2, _CHUNK + 1), (_CHUNK + 1,)])
 def test_wide_batches_evaluate_in_slices_as_one_call(shape):
     """A batch wider than `_CHUNK` points is evaluated a slice at a time:
