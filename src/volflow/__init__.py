@@ -33,7 +33,6 @@ from .forms import (
     FieldEvaluationError,
     check_gradient,
     OneFormField,
-    PhaseState,
     Polynomial,
     ScalarField,
     TwoFormField,

@@ -1,15 +1,15 @@
 """Flow integration and flow-level diagnostics.
 
-Integration is classical fixed-step RK4, batched over leading axes; a
-batch wider than `generator._CHUNK` points is stepped and evaluated in
-slices of at most that many points, so its temporaries stay small.  Flow
-Jacobians come from RK4 on the variational equation: the path is stepped
-on the unchecked field, and every 64 steps one batched DX at their stage
-points gives the step Jacobians.  A compiled polynomial field steps one
-point on its map's one-point routine, which works in a power table the map
-keeps, so a field must not be stepped from two threads at once.  DX is
-exact for a field with an exact tangent (from the compiled [X | DX] map of
-a polynomial field) and taken by central differences of X for any other.
+Integration is classical fixed-step RK4, batched over leading axes.  Every
+path is stepped by one loop under one rule: a field call that raises gives
+a NaN stage, and every 64 steps the first state that is not finite cuts the
+path.  A batch wider than `generator._CHUNK` points steps in slices.  Flow
+Jacobians come from RK4 on the variational equation, one batched DX per
+block at the stage points.  A compiled polynomial field steps one point on
+its map's one-point routine, which works in a power table the map keeps, so
+a field must not be stepped from two threads at once.  DX is exact for a
+field with an exact tangent (from the compiled [X | DX] map of a polynomial
+field) and taken by central differences of X for any other.
 Diagnostics quantify what the generated fields promise: vanishing
 divergence, unit flow-Jacobian determinant, the Lie derivative of the
 symplectic form, and the observable-derivative identity relating df/dt
@@ -84,7 +84,7 @@ class Trajectory:
 
 def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
     """One RK4 step from x, x + dt/6 (k1 + 2 k2 + 2 k3 + k4): the one RK4
-    formula, for `integrate` and `_rk4_block`.
+    formula, taken by `_rk4_steps`.
 
     2 k is taken as k + k, which is exact like 2.0 * k and costs less.  It
     is never doubled in place: a field may return an array its caller
@@ -98,15 +98,47 @@ def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
+def _rk4_steps(X, x: np.ndarray, dt: float, steps: int, every: int, out: np.ndarray,
+               stages: Optional[list] = None) -> Tuple[np.ndarray, int]:
+    """Up to `steps` RK4 steps on X from x, the one RK4 loop; returns the
+    last state and the number of steps taken.  The state after each step
+    that `every` divides goes to the next row of `out`, and each stage point
+    to `stages` if given.  A stage whose call raised is NaN.  The loop stops
+    after the first block of `_BLOCK` steps that ends in a state that is not
+    finite; as such a state stays so, the first one lies in that block.  A
+    batch wider than `generator._CHUNK` points steps a slice at a time.
+    """
+    def stage(y):
+        if stages is not None:
+            stages.append(y)
+        try:
+            return X(y)
+        except (FieldEvaluationError, FloatingPointError, OverflowError):
+            return np.full(y.shape, np.nan)
+
+    step, row, k = partial(_rk4_step, stage, dt=dt), 0, 0
+    for k in range(1, steps + 1):
+        x = _in_chunks(step, x, x.shape[-1])
+        if k % every == 0:
+            out[row] = x
+            row += 1
+        if k % _BLOCK == 0 and not np.isfinite(x).all():
+            break
+    return x, k
+
+
 def _initial_state(field, x0, dt: float, steps: int, *intervals: int) -> np.ndarray:
-    """A copy of x0 as points, once the step arguments are checked."""
+    """A copy of x0 as finite points, once the step arguments are checked."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if any(every < 1 for every in intervals):
         raise ValueError("sample_every must be >= 1")
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return as_points(x0, 2 * getattr(field, "n", 0) or None).copy()
+    x = as_points(x0, 2 * getattr(field, "n", 0) or None)
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    return x.copy()
 
 
 def _sample_times(dt: float, steps: int, every: int) -> np.ndarray:
@@ -114,48 +146,33 @@ def _sample_times(dt: float, steps: int, every: int) -> np.ndarray:
     return np.array([dt * k for k in range(0, steps + 1, every)])
 
 
+# Steps per block: each block tests finiteness once, and in `_one_pass` takes
+# its Jacobians in one DX call, which spreads numpy's per-call cost at batch 1.
+_BLOCK = 64
+
+
 def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajectory:
     """Integrate xdot = field(x) with fixed-step RK4.
 
-    Samples are recorded at step 0 and every `sample_every`-th step.  A
-    batch wider than `generator._CHUNK` points takes each whole RK4 step a
-    slice of points at a time (`generator._in_chunks`), so no temporary
-    grows with the batch.  If a field call raises, or a step produces a
-    non-finite state, in any slice, the whole trajectory is truncated at
-    the last finite sample and marked failed rather than raising.
+    Samples are recorded at step 0 and every `sample_every`-th step.  The
+    steps run through `_rk4_steps`, as `monitor`'s do: a call of `field`
+    that raises gives a NaN stage, and the first state not finite at any
+    point truncates the trajectory at the last finite sample, marked failed.
     """
     x = _initial_state(field, x0, dt, steps, sample_every)
     dt = float(dt)
     times = _sample_times(dt, steps, sample_every)
     states = np.empty((times.size,) + x.shape)
     states[0] = x
-    write = 1
-    failed = False
-    step = partial(_rk4_step, field, dt=dt)
-
-    for k in range(1, steps + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = _in_chunks(step, x, x.shape[-1])
-        except (FieldEvaluationError, FloatingPointError, OverflowError):
-            failed = True
-            break
-        if not np.isfinite(x).all():
-            failed = True
-            break
-        if (k % sample_every) == 0:
-            states[write] = x
-            write += 1
-
-    if failed:
-        return Trajectory(times[:write], states[:write], failed=True,
-                          last_valid_index=write - 1, dt=dt)
-    return Trajectory(times, states, dt=dt)
-
-
-# Steps whose Jacobians one batched DX call takes: enough to spread numpy's
-# per-call cost at batch 1, few enough to keep the stage stack small.
-_BLOCK = 64
+    x = states[0]  # so that no state is held beside the samples while stepping
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, done = _rk4_steps(field, x, dt, steps, sample_every, states[1:])
+    if np.isfinite(x).all():
+        return Trajectory(times, states, dt=dt)
+    kept = states[:done // sample_every + 1]  # its finite rows come first
+    write = np.count_nonzero(np.isfinite(kept.reshape(len(kept), -1)).all(axis=1))
+    return Trajectory(times[:write], states[:write], failed=True,
+                      last_valid_index=write - 1, dt=dt)
 
 
 def _dx_source(field) -> Tuple[Callable, Callable]:
@@ -197,13 +214,10 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float,
                steps: int) -> Tuple[np.ndarray, np.ndarray]:
     """`steps` RK4 steps from x, and their Jacobians.
 
-    The steps run on the unchecked field X, recording each stage point; a
-    stage whose call raised is NaN.  The block takes all its steps, also
-    past a non-finite state (as NaN arithmetic, under the caller's
-    `np.errstate`): `_one_pass` tests every state and S once per block and
-    cuts at the first that is not finite.  One call of the DX source `dx`
-    (see `_dx_source`) on the stage points then gives every DX, and each
-    step Jacobian S is RK4 on the variational equation
+    The steps run through `_rk4_steps` on the unchecked field X, and
+    `_one_pass` cuts at the first state or S that is not finite.  One call
+    of the DX source `dx` (see `_dx_source`) at the stage points gives
+    every DX, and each step Jacobian S is RK4 on the variational equation
     (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with
     DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
     dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
@@ -212,27 +226,16 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float,
     Returns the (b, 2n) states after each step and their (b, 2n, 2n) S.
     A DX that is not finite at a stage makes its step's S non-finite.
     """
-    stages = []
-
-    def stage(y):
-        stages.append(y)
-        try:
-            return X(y)
-        except (FieldEvaluationError, FloatingPointError, OverflowError):
-            return np.full(y.shape, np.nan)
-
-    xs = []
-    for _ in range(steps):
-        x = _rk4_step(stage, x, dt)
-        xs.append(x)
-    dim = x.shape[0]
+    stages, dim = [], x.shape[0]
+    xs = np.empty((steps, dim))
+    _rk4_steps(X, x, dt, steps, 1, xs, stages)
     D = dx(np.array(stages)).reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
     dk2 = D[:, 1] @ (eye + 0.5 * dt * D[:, 0])
     dk3 = D[:, 2] @ (eye + 0.5 * dt * dk2)
     dk4 = D[:, 3] @ (eye + dt * dk3)
     S = eye + (dt / 6.0) * (D[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
-    return np.array(xs).reshape(-1, dim), S
+    return xs, S
 
 
 class _Pass(NamedTuple):

@@ -96,7 +96,7 @@ class KForm:
 
     Coefficients are stored over strictly increasing index tuples; the form
     is sum_I c_I dx^{i_1} ^ ... ^ dx^{i_k} over those tuples.  Zero
-    coefficients may be stored or pruned; equality is coefficient-wise up to
+    coefficients may be stored or pruned; `is_zero` compares them with the
     absolute tolerance ``COEFF_TOL``.  Instances are treated as immutable.
     """
 
@@ -154,16 +154,6 @@ class KForm:
 
     def is_zero(self, tol: float = COEFF_TOL) -> bool:
         return self.max_abs() <= tol
-
-    def approx_eq(self, other: "KForm", tol: float = COEFF_TOL) -> bool:
-        if self.dim != other.dim:
-            return False
-        if self.degree != other.degree:
-            return self.is_zero(tol) and other.is_zero(tol)
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(
-            abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys
-        )
 
     # -- linear structure ----------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 Points are ordered (q^1, ..., q^n, p_1, ..., p_n).  Field callables receive
 plain float arrays of shape (..., 2n) and must broadcast over the leading
-axes; `PhaseState` is accepted at every public entry point and converted.
+axes.
 
 Two kinds of scalar field coexist.  `Polynomial` carries exact derivatives
 of every order, which matters for gauge shifts (whose output components
@@ -23,7 +23,6 @@ from .exterior import PointwiseJet
 __all__ = [
     "FD_STEP",
     "FieldEvaluationError",
-    "PhaseState",
     "as_points",
     "ScalarField",
     "Polynomial",
@@ -50,45 +49,9 @@ class FieldEvaluationError(RuntimeError):
         super().__init__(message or f"non-finite evaluation in component {component}")
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (q, p) of phase space; components must be finite."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
-            raise ValueError("q and p must be 1-d arrays of equal length")
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("phase-space points must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p])
-
-    @classmethod
-    def from_array(cls, arr) -> "PhaseState":
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] % 2:
-            raise ValueError("expected a flat array of even length")
-        n = arr.shape[0] // 2
-        return cls(arr[:n], arr[n:])
-
-
 def as_points(x, dim: Optional[int] = None) -> np.ndarray:
-    """Convert a PhaseState or array-like to a float array of shape (..., 2n)."""
-    if isinstance(x, PhaseState):
-        pts = x.as_array()
-    else:
-        pts = np.asarray(x, dtype=float)
+    """Convert an array-like to a float array of shape (..., 2n)."""
+    pts = np.asarray(x, dtype=float)
     if dim is not None and (pts.ndim == 0 or pts.shape[-1] != dim):
         raise ValueError(f"expected points with last axis {dim}, got shape {pts.shape}")
     return pts

@@ -143,6 +143,60 @@ def test_integrate_validates_arguments():
     assert traj.states.shape == (1, 4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_x0_is_refused(bad):
+    # no entry point steps from a point that is not finite, nor returns it as
+    # a valid sample, also with no steps to take; a batch is refused whole
+    sys_ = coupled_oscillators()
+    x0 = sys_.default_x0.copy()
+    x0[0] = bad
+    batch = np.stack([sys_.default_x0, x0])
+    for steps in (0, 10):
+        for run in (integrate, monitor, flow_jacobian_dets):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                run(sys_.field, x0, 1e-3, steps)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            integrate(sys_.field, batch, 1e-3, steps)
+
+
+def test_one_failure_rule_across_blocks_and_cadences():
+    # H = -q p^2 from (1, 1) at dt 0.015: step 69, in the second block, is
+    # the first state that is not finite; every cadence (200: a block with no
+    # sample), `monitor` and a wide batch whose last slice holds that point
+    # are cut just before it
+    q, p = poly_variables(1)
+    X = hamiltonian_field(-(q[0] * p[0] * p[0]), 1)
+    x0, dt, steps = np.array([1.0, 1.0]), 0.015, 200
+    assert _BLOCK < 69 < 2 * _BLOCK
+    width, bad = generator._CHUNK + 6, generator._CHUNK + 3
+    good = np.stack([np.ones(width), np.linspace(0.1, 0.5, width)], axis=-1)
+    pts = good.copy()
+    pts[bad] = x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        every = integrate(X, x0, dt, steps)
+        cut = {k: integrate(X, x0, dt, steps, sample_every=k) for k in (5, 7, 64, 200)}
+        diag = monitor(X, x0, dt, steps, trajectory_every=1)
+        wide = integrate(X, pts, dt, steps, sample_every=5)
+        fine = integrate(X, good, dt, 70, sample_every=5)  # before p = 0.5 blows up
+        calls = []
+        integrate(lambda y: calls.append(y) or X(y), x0, dt, 10_000)
+    assert len(calls) == 4 * 2 * _BLOCK  # stepping ends with the block that failed
+    assert every.failed and every.last_valid_index == 68
+    assert np.isfinite(every.states).all()
+    for k, last in zip((5, 7, 64, 200), (13, 9, 1, 0)):
+        assert cut[k].failed and cut[k].last_valid_index == last
+        assert np.array_equal(cut[k].states, every.states[::k])
+        assert np.array_equal(cut[k].times, every.times[::k])
+    assert diag.failed and diag.trajectory.last_valid_index == 68
+    assert diag.field_evaluations == 272
+    assert np.array_equal(diag.trajectory.states, every.states)
+    assert wide.failed and wide.last_valid_index == 13
+    assert not fine.failed
+    assert np.array_equal(wide.states[:, :bad], fine.states[:14, :bad])
+    assert np.allclose(wide.states[:, bad], cut[5].states, rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------------ volume jacobians
 
 

@@ -80,13 +80,6 @@ def test_arithmetic_and_norms():
         a + KForm(6, 1)
 
 
-def test_approx_eq_uses_tolerance():
-    a = KForm(4, 1, {(0,): 1.0})
-    b = KForm(4, 1, {(0,): 1.0 + 1e-14})
-    assert a.approx_eq(b)
-    assert not a.approx_eq(KForm(4, 1, {(0,): 1.1}))
-
-
 # ------------------------------------------------------------ wedge vs tensor
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from volflow import (
     FieldEvaluationError,
     OneFormField,
-    PhaseState,
     Polynomial,
     ScalarField,
     TwoFormField,
@@ -26,29 +25,10 @@ from volflow.forms import _merge_rows, as_points
 from volflow.systems import random_polynomial
 
 
-# ------------------------------------------------------------------ PhaseState
-
-
-def test_phase_state_roundtrip():
-    s = PhaseState(q=np.array([1.0, 2.0]), p=np.array([3.0, 4.0]))
-    assert s.n == 2
-    assert np.array_equal(s.as_array(), [1.0, 2.0, 3.0, 4.0])
-    back = PhaseState.from_array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(back.q, s.q) and np.array_equal(back.p, s.p)
-
-
-def test_phase_state_validation():
-    with pytest.raises(ValueError):
-        PhaseState(q=np.array([1.0]), p=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        PhaseState(q=np.array([np.nan]), p=np.array([1.0]))
-    with pytest.raises(ValueError):
-        PhaseState.from_array([1.0, 2.0, 3.0])
+# ------------------------------------------------------------------ as_points
 
 
 def test_as_points_accepts_state_and_arrays():
-    s = PhaseState(q=np.array([1.0]), p=np.array([2.0]))
-    assert np.array_equal(as_points(s), [1.0, 2.0])
     assert as_points([[1.0, 2.0], [3.0, 4.0]], dim=2).shape == (2, 2)
     with pytest.raises(ValueError):
         as_points([1.0, 2.0, 3.0], dim=4)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from volflow import (
     FieldEvaluationError,
     GeneratedField,
-    PhaseState,
     Polynomial,
     ScalarField,
     TwoFormField,
@@ -579,7 +578,7 @@ def test_generated_field_shapes_and_state():
     X = generate(_witness_alpha())
     pts = np.zeros((3, 5, 4))
     assert X(pts).shape == (3, 5, 4)
-    v = X(PhaseState(q=np.array([1.0, 2.0]), p=np.zeros(2)))
+    v = X(np.array([1.0, 2.0, 0.0, 0.0]))
     assert np.allclose(v[:2], 0.0)
     assert np.allclose(v[2:], [0.0, 1.0])
     assert X.kind == "from-two-form"
