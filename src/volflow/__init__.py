@@ -31,7 +31,6 @@ from .exterior import (
 )
 from .forms import (
     FieldEvaluationError,
-    check_gradient,
     OneFormField,
     Polynomial,
     ScalarField,

@@ -1,19 +1,14 @@
 """Flow integration and flow-level diagnostics.
 
-Integration is classical fixed-step RK4, batched over leading axes.  Every
-path is stepped by one loop under one rule: a field call that raises gives
-a NaN stage, and every 64 steps the first state that is not finite cuts the
-path.  A batch wider than `generator._CHUNK` points steps in slices.  Flow
-Jacobians come from RK4 on the variational equation, one batched DX per
-block at the stage points.  A compiled polynomial field steps one point on
-its map's one-point routine, which works in a power table the map keeps, so
-a field must not be stepped from two threads at once.  DX is exact for a
-field with an exact tangent (from the compiled [X | DX] map of a polynomial
-field) and taken by central differences of X for any other.
-Diagnostics quantify what the generated fields promise: vanishing
-divergence, unit flow-Jacobian determinant, the Lie derivative of the
-symplectic form, and the observable-derivative identity relating df/dt
-along the flow to an exterior product.
+Integration is classical fixed-step RK4, batched over leading axes, in one
+loop under one rule: a field call that raises gives a NaN stage, and every
+64 steps the first state that is not finite cuts the path.  A compiled
+polynomial field steps one point on a power table its map keeps, so a field
+must not be stepped from two threads at once.  DX comes from one source
+(`_dx_source`): the compiled [X | DX] map of a field with an exact tangent,
+central differences of X otherwise.  Along a path, one DX call per block
+gives the step Jacobians (RK4 on the variational equation), and
+div X = tr DX and L_X omega = DX^T W + W DX at the samples.
 """
 
 from __future__ import annotations
@@ -147,7 +142,7 @@ def _sample_times(dt: float, steps: int, every: int) -> np.ndarray:
 
 
 # Steps per block: each block tests finiteness once, and in `_one_pass` takes
-# its Jacobians in one DX call, which spreads numpy's per-call cost at batch 1.
+# its DX in one call, which spreads numpy's per-call cost at batch 1.
 _BLOCK = 64
 
 
@@ -176,13 +171,13 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
 
 
 def _dx_source(field) -> Tuple[Callable, Callable]:
-    """The unchecked X of `field` at one point, and its DX source for the
-    step Jacobians.
+    """The unchecked X of `field` at one point, and its one DX source.
 
     X is a compiled map's one-point routine (`at_point`) when the field has
     one.  The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
     compiled [X | DX] map when the field has an exact tangent, NaN where a
-    row is not finite; otherwise central differences of the batch X.
+    row is not finite; otherwise central differences of the batch X, NaN
+    where X raises.
     """
     if not isinstance(field, GeneratedField):
         return field, partial(_fd_dx, field)
@@ -211,31 +206,30 @@ def _fd_dx(X, pts: np.ndarray) -> np.ndarray:
 
 
 def _rk4_block(X, dx, x: np.ndarray, dt: float,
-               steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`steps` RK4 steps from x, and their Jacobians.
+               steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`steps` RK4 steps from x, their Jacobians, and DX at their states.
 
-    The steps run through `_rk4_steps` on the unchecked field X, and
-    `_one_pass` cuts at the first state or S that is not finite.  One call
-    of the DX source `dx` (see `_dx_source`) at the stage points gives
-    every DX, and each step Jacobian S is RK4 on the variational equation
-    (x, V)' = (X(x), DX(x) V) from (x, I), all steps at once: with
-    DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
+    One call of the DX source `dx` (see `_dx_source`) at the stage points
+    and the last state gives every DX.  Each step Jacobian S is RK4 on the
+    variational equation (x, V)' = (X(x), DX(x) V) from (x, I), all steps
+    at once: with DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
     dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
-    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4).
-
-    Returns the (b, 2n) states after each step and their (b, 2n, 2n) S.
-    A DX that is not finite at a stage makes its step's S non-finite.
+    S = I + dt/6 (dk_1 + 2 dk_2 + 2 dk_3 + dk_4); a DX that is not finite
+    makes its step's S non-finite.  Returns the (b, 2n) states after each
+    step, their (b, 2n, 2n) S, and the (b + 1, 2n, 2n) DX at x and at each
+    of those states: stage 1 of each step, then the last state.
     """
     stages, dim = [], x.shape[0]
     xs = np.empty((steps, dim))
-    _rk4_steps(X, x, dt, steps, 1, xs, stages)
-    D = dx(np.array(stages)).reshape(-1, 4, dim, dim)  # the four stages of each step
+    stages.append(_rk4_steps(X, x, dt, steps, 1, xs, stages)[0])
+    D = dx(np.array(stages))
+    Dk = D[:-1].reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
-    dk2 = D[:, 1] @ (eye + 0.5 * dt * D[:, 0])
-    dk3 = D[:, 2] @ (eye + 0.5 * dt * dk2)
-    dk4 = D[:, 3] @ (eye + dt * dk3)
-    S = eye + (dt / 6.0) * (D[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
-    return xs, S
+    dk2 = Dk[:, 1] @ (eye + 0.5 * dt * Dk[:, 0])
+    dk3 = Dk[:, 2] @ (eye + 0.5 * dt * dk2)
+    dk4 = Dk[:, 3] @ (eye + dt * dk3)
+    S = eye + (dt / 6.0) * (Dk[:, 0] + 2.0 * dk2 + 2.0 * dk3 + dk4)
+    return xs, S, D[::4]
 
 
 class _Pass(NamedTuple):
@@ -243,28 +237,26 @@ class _Pass(NamedTuple):
     times: np.ndarray
     states: np.ndarray
     dets: np.ndarray
-    jacobians: np.ndarray
+    divergence: np.ndarray
+    lie_omega: np.ndarray
     calls: int
 
 
 def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
               trajectory_every: int) -> _Pass:
-    """Integrate one point once with RK4, carrying each step's Jacobian S.
+    """Integrate one point once with RK4, in blocks of `_BLOCK` steps
+    through `_rk4_block` (0 steps run one empty block).
 
-    The steps run in blocks of `_BLOCK` through `_rk4_block`, with DX from
-    the source that `_dx_source` chooses once for the field.  Stepping keeps
-    every g-th state, g = gcd(`sample_every`, `trajectory_every`), and every
-    step's det S.  Afterwards the trajectory (every `trajectory_every` steps)
-    and the samples (every `sample_every` steps) are taken from those
-    states, the flow-Jacobian determinants are one `cumprod` of the det S
-    (the chain rule), and one call of the DX source gives DX at the sample
-    states and at the last state.  `calls` counts the field calls that
-    stepped the path, four per completed step.  The failure rule is one
-    test per block, the `good` mask over its states and S: the first
-    non-finite state or step Jacobian ends the pass, marked failed, and the
-    trajectory keeps the steps before it.  The steps that the block took
-    past it are dropped, uncounted.  A last state whose DX is not finite
-    also marks the pass failed, and its sample is dropped.
+    Stepping keeps every g-th state, g = gcd(`sample_every`,
+    `trajectory_every`), every step's det S, and at each sample state
+    div X = tr DX and max |DX^T W + W DX| from the DX its block took.  The
+    trajectory and the samples are then taken from the kept states, and the
+    flow-Jacobian determinants are one `cumprod` of the det S (the chain
+    rule).  `calls` counts the field calls that stepped the path, four per
+    completed step.  The first non-finite state or S ends the pass, marked
+    failed: the trajectory keeps the steps before it, and the block's later
+    steps are dropped, uncounted.  A last state whose DX is not finite also
+    fails the pass, and its sample is dropped.
     """
     x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
     if x.ndim != 1:
@@ -272,23 +264,28 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     dt = float(dt)
     g = math.gcd(sample_every, trajectory_every)
     kept, step_dets = [x[None, :]], [np.ones(1)]
-    done, failed = 0, False
+    div, lie = [np.zeros(0)], [np.zeros(0)]
+    done, last = 0, False
     with np.errstate(over="ignore", invalid="ignore"):
         X, dx = _dx_source(field)
-        while done < steps and not failed:
-            xs, S = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
+        while not last:
+            xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
             good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
             v = len(xs) if good.all() else int(np.argmin(good))  # valid steps
             kept.append(xs[:v][(done + 1 + np.arange(v)) % g == 0])
             step_dets.append(np.linalg.det(S[:v]))
+            last = v < len(xs) or done + v == steps
+            sampled = not last or np.isfinite(DX[v]).all()
+            # DX[j] is at state done + j; DX[v] is sampled only where the pass ends
+            first, end = -done % sample_every, v + (last and sampled)
+            if first < end:
+                J = DX[first:end:sample_every]
+                div.append(np.trace(J, axis1=-2, axis2=-1))
+                lie.append(np.abs(_lie_omega_matrix(J, len(x) // 2)).max(axis=(-2, -1)))
             done += v
-            failed = v < len(xs)
             x = xs[v - 1] if v else x
-        states = np.concatenate(kept)
-        samples = states[:: sample_every // g]
-        DX = dx(np.concatenate([samples, x[None, :]]))
-    sampled = np.isfinite(DX[-1]).all()
-    failed = failed or not sampled
+    failed = v < len(xs) or not sampled
+    states = np.concatenate(kept)
     n_traj = done // trajectory_every + 1
     n_samples = (done if sampled else max(done - 1, 0)) // sample_every + 1
     trajectory = Trajectory(_sample_times(dt, steps, trajectory_every)[:n_traj],
@@ -296,7 +293,8 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
                             last_valid_index=n_traj - 1 if failed else None, dt=dt)
     dets = np.cumprod(np.concatenate(step_dets))[::sample_every]
     return _Pass(trajectory, _sample_times(dt, steps, sample_every)[:n_samples],
-                 samples[:n_samples], dets[:n_samples], DX[:n_samples], 4 * done)
+                 states[:: sample_every // g][:n_samples], dets[:n_samples],
+                 np.concatenate(div), np.concatenate(lie), 4 * done)
 
 
 def flow_jacobian_dets(field, x0, dt: float, steps: int,
@@ -305,11 +303,10 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int,
 
     Chain rule: the determinant over [0, T] is the product of one-step
     determinants det dPhi_dt(x_k) along the trajectory, each the RK4 step
-    of the variational equation (see `_rk4_block`).  Its DX is exact for a
-    field with an exact tangent and taken by central differences of X
-    otherwise (see `_dx_source`).  Returns (times, dets); volume
-    preservation means dets close to one.  Raises FloatingPointError if
-    the flow or its Jacobian leaves the finite domain.
+    of the variational equation with DX from `_dx_source` (see
+    `_rk4_block`).  Returns (times, dets); volume preservation means dets
+    close to one.  Raises FloatingPointError if the flow or its Jacobian
+    leaves the finite domain.
     """
     result = _one_pass(field, x0, dt, steps, sample_every, max(steps, 1))
     if result.trajectory.failed:
@@ -317,9 +314,18 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int,
     return result.times, result.dets
 
 
+def _dx_at(field, x) -> np.ndarray:
+    """DX of the field at the points x, shape (..., 2n, 2n), from `_dx_source`."""
+    pts = as_points(x)
+    dim = pts.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dx_source(field)[1](pts.reshape(-1, dim)).reshape(pts.shape + (dim,))
+
+
 def divergence_at(field, x) -> np.ndarray:
-    """Divergence of the field by central differences, step scaled per coordinate."""
-    return np.trace(_fd_jacobian(field, as_points(x)), axis1=-2, axis2=-1)
+    """Divergence tr DX of the field at x, with DX from the source `monitor`
+    uses (see `_dx_source`); NaN where DX is not finite."""
+    return np.trace(_dx_at(field, x), axis1=-2, axis2=-1)
 
 
 def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
@@ -329,22 +335,20 @@ def _lie_omega_matrix(J: np.ndarray, n: int) -> np.ndarray:
 
 
 def lie_derivative_omega(field, x) -> KForm:
-    """L_X omega at x as a 2-form, from the finite-difference Jacobian of X.
+    """L_X omega at one point x as a 2-form.
 
     For the constant-coefficient symplectic form, (L_X omega)(u, v) =
-    u^T (J^T W + W J) v with W the matrix of omega and J = dX/dx.  A
-    Hamiltonian field gives zero; the antisymmetric part of a linear
-    system shows up as a q-q block.
+    u^T (DX^T W + W DX) v with W the matrix of omega, DX from the source
+    `monitor` uses (see `_dx_source`); every coefficient is NaN where DX is
+    not finite.  A Hamiltonian field gives zero; the antisymmetric part of
+    a linear system shows up as a q-q block.
     """
-    pts = as_points(x)
-    n = pts.shape[-1] // 2
-    L = _lie_omega_matrix(_fd_jacobian(field, pts), n)
-    coeffs = {}
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            if L[a, b] != 0.0:
-                coeffs[(a, b)] = L[a, b]
-    return KForm(2 * n, 2, coeffs)
+    J = _dx_at(field, x)
+    n = J.shape[-1] // 2
+    L = _lie_omega_matrix(J, n)
+    # KForm drops the zero coefficients
+    return KForm(2 * n, 2, {(a, b): L[a, b]
+                            for a in range(2 * n) for b in range(a + 1, 2 * n)})
 
 
 def poisson_bracket(f: ScalarField, g: ScalarField, x):
@@ -466,15 +470,14 @@ def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
     The trajectory is recorded every `trajectory_every` steps (default:
     `sample_every`) and the diagnostics every `sample_every` steps, both
     from the same integration.  The determinants, div X = tr DX and
-    L_X omega = DX^T W + W DX all come from the DX source that the step
-    Jacobians use (see `flow_jacobian_dets`), called once at the samples
-    after stepping: exact for a field with an exact tangent, by central
-    differences of X otherwise.  The observable named "H" doubles as the
-    energy series.  The identity series "lie_omega_max_abs" records the
-    largest coefficient of L_X omega at each sample; it stays at zero iff
-    the field is symplectic.  A run that leaves the finite domain returns
-    failed=True, its trajectory cut at the last finite sample, and empty
-    diagnostic series.
+    L_X omega = DX^T W + W DX all come from the DX that `_one_pass`'s
+    blocks take for the step Jacobians, none after stepping: exact for a
+    field with an exact tangent, by central differences of X otherwise.
+    The observable named "H" doubles as the energy series.  The identity
+    series "lie_omega_max_abs" records the largest coefficient of L_X omega
+    at each sample; it stays at zero iff the field is symplectic.  A run
+    that leaves the finite domain returns failed=True, its trajectory cut
+    at the last finite sample, and empty diagnostic series.
     """
     every = sample_every if trajectory_every is None else trajectory_every
     run = _one_pass(field, x0, dt, steps, sample_every, every)
@@ -482,12 +485,9 @@ def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
         empty = np.zeros(0)
         return FlowDiagnostics(run.times, run.states, empty, empty, None, {}, {},
                                True, run.trajectory, run.calls)
-    jacs = run.jacobians
-    div = np.trace(jacs, axis1=-2, axis2=-1)
-    lie = np.abs(_lie_omega_matrix(jacs, jacs.shape[-1] // 2)).max(axis=(-2, -1))
     observables = observables or {}
     series = {name: np.asarray(f.value(run.states), dtype=float)
               for name, f in observables.items()}
-    residuals = {"lie_omega_max_abs": lie}
-    return FlowDiagnostics(run.times, run.states, run.dets, div, series.get("H"),
-                           series, residuals, False, run.trajectory, run.calls)
+    return FlowDiagnostics(run.times, run.states, run.dets, run.divergence,
+                           series.get("H"), series, {"lie_omega_max_abs": run.lie_omega},
+                           False, run.trajectory, run.calls)

@@ -34,7 +34,6 @@ __all__ = [
     "trace_field",
     "traceless_part",
     "gauge_shift",
-    "check_gradient",
 ]
 
 # Relative step for central finite differences: h = FD_STEP * (1 + |coordinate|).
@@ -201,7 +200,8 @@ class Polynomial(ScalarField):
         if i not in self._partials:
             keep = self._exps[:, i] > 0
             exps = self._exps[keep]
-            coeffs = self._coeffs[keep] * exps[:, i]
+            with np.errstate(over="ignore"):  # an overflowing coefficient is inf
+                coeffs = self._coeffs[keep] * exps[:, i]
             exps[:, i] -= 1
             # Lowering one exponent of every kept row leaves the rows
             # distinct and lexically sorted.
@@ -407,24 +407,8 @@ class TwoFormField:
 
     # -- component access ------------------------------------------------------
 
-    def Q_entry(self, i: int, j: int) -> Optional[ScalarField]:
-        if i == j:
-            return None
-        if i < j:
-            return self._Q.get((i, j))
-        f = self._Q.get((j, i))
-        return None if f is None else -f
-
     def A_entry(self, i: int, j: int) -> Optional[ScalarField]:
         return self._A.get((i, j))
-
-    def P_entry(self, i: int, j: int) -> Optional[ScalarField]:
-        if i == j:
-            return None
-        if i < j:
-            return self._P.get((i, j))
-        f = self._P.get((j, i))
-        return None if f is None else -f
 
     def components(self):
         """Iterate (kind, i, j, field) over stored components."""
@@ -602,16 +586,3 @@ def gauge_shift(alpha: TwoFormField, beta: OneFormField) -> TwoFormField:
             if aa is not None:
                 A_add[(i, j)] = aa
     return alpha + TwoFormField(n, Q=Q_add, A=A_add, P=P_add)
-
-
-def check_gradient(field: ScalarField, points, tol: float = 1e-6) -> float:
-    """Max scaled residual between the analytic and finite-difference gradient.
-
-    Residuals are |analytic - fd| / (1 + |analytic|) componentwise; the
-    return value is the max over the supplied points.
-    """
-    pts = as_points(points)
-    analytic = field.gradient(pts)
-    fd = _fd_jacobian(field.value, pts)
-    scaled = np.abs(analytic - fd) / (1.0 + np.abs(analytic))
-    return float(np.max(scaled))

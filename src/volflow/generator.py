@@ -306,9 +306,8 @@ class _PolynomialField(_MonomialMap):
         A second partial whose coefficient overflows holds inf there."""
         if self._tangent_map is None:
             dim = len(self.names)
-            with np.errstate(over="ignore"):
-                second = [(dim + a * dim + b, m, g.partial(b))
-                          for a, m, g in self.partials for b in range(dim)]
+            second = [(dim + a * dim + b, m, g.partial(b))
+                      for a, m, g in self.partials for b in range(dim)]
             names = self.names + [f"d{x}/d{c}" for x in self.names for c in self.coords]
             self._tangent_map = _MonomialMap(dim, self.partials + second, names)
         return self._tangent_map

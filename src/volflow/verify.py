@@ -184,8 +184,9 @@ def check_hamiltonian_reduction(n_list, trials: int, seed: int) -> SuiteResult:
 
 
 def check_divergence_free(n_list, points: int, seed: int) -> SuiteResult:
-    """Finite-difference divergence of generated fields vanishes at `points`
-    points shared by two random 2-forms per n; exactly, every M_f + M_f^T = 0."""
+    """The divergence tr DX of generated fields, DX from the exact tangent,
+    vanishes at `points` points shared by two random 2-forms per n; exactly,
+    every M_f + M_f^T = 0."""
     size = max(1, points // max(1, 2 * len(_clamp(n_list, (2, 3)))))
 
     def case(n, rng):

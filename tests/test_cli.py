@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,24 @@ def test_simulate_blowup_fails_with_partial_csv(tmp_path):
     lines = (tmp_path / "b.csv").read_text().strip().split("\n")
     assert lines[0] == "t,q1,q2,q3,p1,p2,p3"
     assert 1 <= len(lines) - 1 < 41
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e308, 1e307, 1e306, 1e300, -1e308])
+def test_simulate_a_huge_coefficient_scale_fails_without_a_warning(tmp_path, capsys, n, scale):
+    # compiling the field's partials overflows some coefficients to inf: the
+    # run is a documented integration failure, and no RuntimeWarning escapes
+    csv = tmp_path / "big.csv"
+    cfg = _write_config(tmp_path, "big.json", {
+        "system": {"name": "random-alpha", "params": {"n": n, "scale": scale}},
+        "steps": 5,
+        "outputs": {"trajectory": str(csv), "diagnostics": str(tmp_path / "big.json")},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == f"integration left the finite domain; partial trajectory in {csv}\n"
 
 
 def test_simulate_usage_errors(tmp_path, capsys):

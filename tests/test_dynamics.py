@@ -252,7 +252,7 @@ def test_tangent_step_jacobian_matches_bundle():
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            xs, S = _rk4_block(*_dx_source(X), x, 1e-2, 1)
+            xs, S, _ = _rk4_block(*_dx_source(X), x, 1e-2, 1)
             exact_x, exact_S = xs[0], S[0]
             fd_x, fd_S = _rk4_step_and_jacobian(X, x, 1e-2)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
@@ -279,14 +279,15 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         k3 = variational(z + 0.5 * dt * k2)
         k4 = variational(z + dt * k3)
         want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs, S = _rk4_block(*_dx_source(X), x, dt, 1)
+        xs, S, DX = _rk4_block(*_dx_source(X), x, dt, 1)
         got = np.concatenate([xs[0], S[0].ravel()])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
-        # the pass takes DX at its samples, x and the state after the step
+        # the block takes DX at its states, x and the state after the step
         run = _one_pass(X, x, dt, 1, 1, 1)
         assert np.array_equal(run.states, [x, xs[0]])
-        for state, jac in zip(run.states, run.jacobians):
-            assert np.max(np.abs(jac - X.tangent(state)[1])) <= 1e-15 * (1.0 + np.abs(jac).max())
+        jacs = X.tangent(run.states)[1]
+        assert np.max(np.abs(DX - jacs)) <= 1e-15 * (1.0 + np.abs(jacs).max())
+        assert np.array_equal(run.divergence, np.trace(DX, axis1=1, axis2=2))
 
 
 def test_flow_dets_across_block_boundaries():
@@ -328,7 +329,8 @@ def test_one_pass_rows_do_not_depend_on_the_cadences(case):
         assert np.array_equal(traj.times, every.times[::trajectory_every])
         assert np.array_equal(traj.states, every.states[::trajectory_every])
         for got, want in [(run.times, full.times), (run.states, full.states),
-                          (run.dets, full.dets), (run.jacobians, full.jacobians)]:
+                          (run.dets, full.dets), (run.divergence, full.divergence),
+                          (run.lie_omega, full.lie_omega)]:
             assert np.array_equal(got, want[::sample_every])
         assert run.calls == 4 * steps
 
@@ -692,6 +694,35 @@ def test_monitor_exact_lie_and_divergence_for_coupled_system():
     assert np.all(diag.divergence_samples == 0.0)
     assert np.max(np.abs(diag.identity_residuals["lie_omega_max_abs"] - 0.5)) <= 1e-12
     assert diag.max_volume_error() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [coupled_oscillators, lambda: random_alpha_system(3, 2)])
+@pytest.mark.parametrize("steps", [0, 3 * _BLOCK + 5])
+def test_monitor_diagnostics_are_the_tangent_at_the_samples(build, steps):
+    # every sample's DX is the one its block took at stage 1 (or at the last
+    # state), so each series equals the exact tangent taken in one batch
+    sys = build()
+    diag = monitor(sys.field, sys.default_x0, dt=1e-2, steps=steps, sample_every=1)
+    assert not diag.failed and len(diag.states) == steps + 1
+    jacs = sys.field.tangent(diag.states)[1]
+    n = sys.field.n
+    W = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
+    lie = np.abs(np.swapaxes(jacs, 1, 2) @ W + W @ jacs).max(axis=(1, 2))
+    assert np.array_equal(diag.divergence_samples, np.trace(jacs, axis1=1, axis2=2))
+    assert np.array_equal(diag.identity_residuals["lie_omega_max_abs"], lie)
+
+
+def test_pointwise_diagnostics_are_nan_where_the_exact_dx_is_not():
+    # q1^300 overflows at q1 = 20, so the compiled [X | DX] row is not finite
+    q, p = poly_variables(2)
+    X = hamiltonian_field(p[0] * p[0] * 0.5 + q[0] ** 300 * 1e-300, 2)
+    assert X.exact_tangent
+    good, bad = np.array([0.5, 0.0, 0.1, 0.0]), np.array([20.0, 0.0, 0.0, 0.0])
+    div = divergence_at(X, np.stack([good, bad]))
+    assert div[0] == 0.0 and np.isnan(div[1])
+    assert lie_derivative_omega(X, good).max_abs() == 0.0
+    L = lie_derivative_omega(X, bad)
+    assert L.coeffs and all(np.isnan(c) for c in L.coeffs.values())
 
 
 def test_monitor_same_linear_flow_on_both_dx_sources():
