@@ -146,7 +146,7 @@ def test_simulate_a_huge_coefficient_scale_fails_without_a_warning(tmp_path, cap
     cfg = _write_config(tmp_path, "big.json", {
         "system": {"name": "random-alpha", "params": {"n": n, "scale": scale}},
         "steps": 5,
-        "outputs": {"trajectory": str(csv), "diagnostics": str(tmp_path / "big.json")},
+        "outputs": {"trajectory": str(csv), "diagnostics": str(tmp_path / "diag.json")},
     })
     with warnings.catch_warnings():
         warnings.simplefilter("error")
