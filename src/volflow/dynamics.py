@@ -2,13 +2,13 @@
 
 Integration is classical fixed-step RK4, batched over leading axes, in one
 loop under one rule: a field call that raises gives a NaN stage, and every
-64 steps the first state that is not finite cuts the path.  A compiled
-polynomial field steps one point on a power table its map keeps, so a field
-must not be stepped from two threads at once.  DX comes from one source
-(`_dx_source`): the compiled [X | DX] map of a field with an exact tangent,
-central differences of X otherwise.  Along a path, one DX call per block
-gives the step Jacobians (RK4 on the variational equation), and
-div X = tr DX and L_X omega = DX^T W + W DX at the samples.
+64 steps the first state that is not finite cuts the path.  Each pass steps
+on one X (`_stepping_x`): one point of a compiled polynomial field on a
+power table the pass owns, anything else on the field as given.  DX comes
+from one source (`_dx_source`): the compiled [X | DX] map of a field with
+an exact tangent, central differences of X otherwise.  Along a path, one DX
+call per block gives the step Jacobians (RK4 on the variational equation),
+and div X = tr DX and L_X omega = DX^T W + W DX at the samples.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     """Integrate xdot = field(x) with fixed-step RK4.
 
     Samples are recorded at step 0 and every `sample_every`-th step.  The
-    steps run through `_rk4_steps`, as `monitor`'s do: a call of `field`
-    that raises gives a NaN stage, and the first state not finite at any
-    point truncates the trajectory at the last finite sample, marked failed.
+    steps run on `_stepping_x` through `_rk4_steps`, as `monitor`'s do: a
+    stage that raises is NaN, and the first state not finite at any point
+    truncates the trajectory at the last finite sample, marked failed.
     """
     x = _initial_state(field, x0, dt, steps, sample_every)
     dt = float(dt)
@@ -161,7 +161,7 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
     states[0] = x
     x = states[0]  # so that no state is held beside the samples while stepping
     with np.errstate(over="ignore", invalid="ignore"):
-        x, done = _rk4_steps(field, x, dt, steps, sample_every, states[1:])
+        x, done = _rk4_steps(_stepping_x(field, x), x, dt, steps, sample_every, states[1:])
     if np.isfinite(x).all():
         return Trajectory(times, states, dt=dt)
     kept = states[:done // sample_every + 1]  # its finite rows come first
@@ -170,22 +170,24 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
                       last_valid_index=write - 1, dt=dt)
 
 
-def _dx_source(field) -> Tuple[Callable, Callable]:
-    """The unchecked X of `field` at one point, and its one DX source.
+def _stepping_x(field, x: np.ndarray) -> Callable:
+    """The X one pass steps x on: at a single point of a compiled polynomial
+    field, a one-point evaluator of its map (`point_fn`), unchecked and on a
+    power table this pass owns; otherwise the field exactly as given."""
+    point_fn = getattr(getattr(field, "_eval_fn", None), "point_fn", None)
+    return point_fn() if point_fn and x.ndim == 1 else field
 
-    X is a compiled map's one-point routine (`at_point`) when the field has
-    one.  The DX source maps (k, 2n) points to (k, 2n, 2n) Jacobians: the
-    compiled [X | DX] map when the field has an exact tangent, NaN where a
-    row is not finite; otherwise central differences of the batch X, NaN
-    where X raises.
-    """
+
+def _dx_source(field) -> Callable:
+    """The one DX source of `field`, mapping (k, 2n) points to (k, 2n, 2n)
+    Jacobians: the compiled [X | DX] map when the field has an exact
+    tangent, NaN where a row is not finite; otherwise central differences
+    of the unchecked X, NaN where X raises."""
     if not isinstance(field, GeneratedField):
-        return field, partial(_fd_dx, field)
-    X = field._eval_fn
-    step = getattr(X, "at_point", X)
+        return partial(_fd_dx, field)
     if field.exact_tangent:
-        return step, partial(_exact_dx, field.tangent_map())
-    return step, partial(_fd_dx, X)
+        return partial(_exact_dx, field.tangent_map())
+    return partial(_fd_dx, field._eval_fn)
 
 
 def _exact_dx(tangent_map, pts: np.ndarray) -> np.ndarray:
@@ -244,8 +246,8 @@ class _Pass(NamedTuple):
 
 def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
               trajectory_every: int) -> _Pass:
-    """Integrate one point once with RK4, in blocks of `_BLOCK` steps
-    through `_rk4_block` (0 steps run one empty block).
+    """Integrate one point once with RK4 on `_stepping_x`, in blocks of
+    `_BLOCK` steps through `_rk4_block` (0 steps run one empty block).
 
     Stepping keeps every g-th state, g = gcd(`sample_every`,
     `trajectory_every`), every step's det S, and at each sample state
@@ -267,7 +269,7 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     div, lie = [np.zeros(0)], [np.zeros(0)]
     done, last = 0, False
     with np.errstate(over="ignore", invalid="ignore"):
-        X, dx = _dx_source(field)
+        X, dx = _stepping_x(field, x), _dx_source(field)
         while not last:
             xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
             good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
@@ -319,7 +321,7 @@ def _dx_at(field, x) -> np.ndarray:
     pts = as_points(x)
     dim = pts.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _dx_source(field)[1](pts.reshape(-1, dim)).reshape(pts.shape + (dim,))
+        return _dx_source(field)(pts.reshape(-1, dim)).reshape(pts.shape + (dim,))
 
 
 def divergence_at(field, x) -> np.ndarray:

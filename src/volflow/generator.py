@@ -209,18 +209,10 @@ class _MonomialMap:
     The evaluation plan is fixed here, once: the power table's row count,
     the (lo, mid, hi) row spans that fill power e from power e - 1, and the
     first row of `factors`, which the gather starts from, apart from the
-    list of the others.  A call runs that plan and does no other work,
-    which matters at a single point, where numpy's fixed cost per call is
-    most of the time.  A batch wider than `_CHUNK` points is evaluated a
-    slice at a time (`_in_chunks`), so the tables stay at most `_CHUNK`
-    points wide.
-
-    A single point (`at_point`) is evaluated on a power table kept with the
-    map: allocated once, its unit rows set once, with views of its power-1
-    rows and of each higher power's rows fixed here.  A call copies x into
-    the power-1 rows (the batch path's 1.0 * x, bit for bit), fills the
-    higher powers in place and returns a fresh array.  So a compiled map
-    must not be called from two threads at once.
+    list of the others.  A call runs that plan and does no other work, on
+    tables of its own at most `_CHUNK` points wide (`_in_chunks` slices a
+    wider batch), so the map is immutable once built.  `point_fn` gives a
+    one-point evaluator that owns its power table.
     """
 
     def __init__(self, dim: int, terms, names):
@@ -247,28 +239,34 @@ class _MonomialMap:
         self._spans = [((e - 1) * dim, e * dim, (e + 1) * dim)
                        for e in range(1, self.deg + 1)]
         self._first, self._rest = self.factors[0], list(self.factors[1:])
-        # the one-point table has a power-1 span even at degree 0
-        self._point = np.ones((max(self.deg, 1) + 1) * dim)
-        self._power1 = self._point[dim:2 * dim]
-        self._point_spans = [(self._point[lo:mid], self._point[mid:hi])
-                             for lo, mid, hi in self._spans[1:]]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
-        if pts.ndim == 1:
-            return self.at_point(pts)
         return _in_chunks(self._table_product, pts, self.C.shape[1])
 
-    def at_point(self, x: np.ndarray) -> np.ndarray:
-        """m(x) @ C at one (dim,) point, on the kept power table."""
-        table, power1 = self._point, self._power1
-        power1[...] = x
-        for lower, higher in self._point_spans:
-            np.multiply(lower, power1, out=higher)
-        monos = table[self._first]
-        for rows in self._rest:
-            monos *= table[rows]
-        return monos.dot(self.C)
+    def point_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        """x -> m(x) @ C at one (dim,) point, bit for bit the call's result,
+        on a power table this evaluator owns: its unit rows are set and its
+        power views fixed here, which spares numpy's fixed cost per call.
+        Each call copies x into the power-1 rows, fills the higher powers in
+        place and returns a fresh array; evaluators of one map share nothing."""
+        dim = self._rows // (self.deg + 1)
+        # the table has a power-1 span even at degree 0
+        table = np.ones((max(self.deg, 1) + 1) * dim)
+        power1 = table[dim:2 * dim]
+        spans = [(table[lo:mid], table[mid:hi]) for lo, mid, hi in self._spans[1:]]
+        first, rest, C = self._first, self._rest, self.C
+
+        def at_point(x: np.ndarray) -> np.ndarray:
+            power1[...] = x
+            for lower, higher in spans:
+                np.multiply(lower, power1, out=higher)
+            monos = table[first]
+            for rows in rest:
+                monos *= table[rows]
+            return monos.dot(C)
+
+        return at_point
 
     def _table_product(self, pts: np.ndarray) -> np.ndarray:
         x = pts.T

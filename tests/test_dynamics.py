@@ -1,5 +1,7 @@
 """Flow integration, volume tracking, and the pointwise identity checks."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -28,7 +30,7 @@ from volflow import (
     wedge,
 )
 from volflow import generator
-from volflow.dynamics import _BLOCK, _dx_source, _one_pass, _rk4_block
+from volflow.dynamics import _BLOCK, _dx_source, _one_pass, _rk4_block, _stepping_x
 from volflow.systems import (
     COUPLED_K,
     LinearSystemSpec,
@@ -252,7 +254,7 @@ def test_tangent_step_jacobian_matches_bundle():
         X = random_alpha_system(n=n, seed=seed).field
         for _ in range(3):
             x = 0.5 * rng.normal(size=2 * n)
-            xs, S, _ = _rk4_block(*_dx_source(X), x, 1e-2, 1)
+            xs, S, _ = _rk4_block(_stepping_x(X, x), _dx_source(X), x, 1e-2, 1)
             exact_x, exact_S = xs[0], S[0]
             fd_x, fd_S = _rk4_step_and_jacobian(X, x, 1e-2)
             assert np.max(np.abs(exact_x - fd_x) / (1.0 + np.abs(fd_x))) <= 1e-14
@@ -279,7 +281,7 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         k3 = variational(z + 0.5 * dt * k2)
         k4 = variational(z + dt * k3)
         want = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs, S, DX = _rk4_block(*_dx_source(X), x, dt, 1)
+        xs, S, DX = _rk4_block(_stepping_x(X, x), _dx_source(X), x, dt, 1)
         got = np.concatenate([xs[0], S[0].ravel()])
         assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-15
         # the block takes DX at its states, x and the state after the step
@@ -658,6 +660,42 @@ def test_a_polynomial_state_that_overflows_mid_block():
     assert np.isfinite(traj.states).all()
 
 
+def test_one_field_steps_from_four_threads_as_from_one():
+    """A compiled field holds no state that a pass writes: two `monitor` and
+    two one-point `integrate` passes share one field, from two x0s, in four
+    threads that switch every microsecond, and each gives the result of its
+    single-thread run."""
+    field = random_alpha_system(3, 2).field
+    dt, steps = 1e-3, 5000
+
+    def run(pass_kind, x0):
+        if pass_kind == "monitor":
+            diag = monitor(field, x0, dt, steps, sample_every=10, trajectory_every=1)
+            return diag.trajectory.states, diag.volume_dets, diag.divergence_samples
+        return (integrate(field, x0, dt, steps).states,)
+
+    jobs = [(kind, np.full(6, x)) for kind in ("monitor", "integrate") for x in (0.1, -0.2)]
+    want = [run(*job) for job in jobs]
+    got = [None] * len(jobs)
+
+    def worker(i):
+        got[i] = run(*jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for job, g, w in zip(jobs, got, want):
+        assert g is not None and all(map(np.array_equal, g, w)), job[0]
+
+
 @pytest.mark.parametrize("sys", [coupled_oscillators(), random_alpha_system(3, 2)],
                          ids=["coupled", "random-n3"])
 def test_monitor_trajectory_is_integrate(sys):
@@ -667,8 +705,7 @@ def test_monitor_trajectory_is_integrate(sys):
     traj = integrate(sys.field, x0, dt=1e-3, steps=1000, sample_every=10)
     assert not diag.failed and not diag.trajectory.failed
     assert np.array_equal(diag.trajectory.times, traj.times)
-    err = np.abs(diag.trajectory.states - traj.states) / (1.0 + np.abs(traj.states))
-    assert np.max(err) <= 1e-14
+    assert np.array_equal(diag.trajectory.states, traj.states)
     assert np.array_equal(diag.states, diag.trajectory.states[::25])
     # the four X-map calls of each step; the batched [X | DX] calls are not counted
     assert diag.field_evaluations == 4 * 1000

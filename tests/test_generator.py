@@ -286,6 +286,9 @@ def test_tangent_is_compiled_on_first_use():
     X = generate(random_two_form(2, np.random.default_rng(3)))
     assert X._eval_fn._tangent_map is None  # generate pays only for X
     X(np.zeros(4))
+    # integrate steps on X alone, at one point and in a batch
+    integrate(X, np.full(4, 0.1), 1e-2, 3)
+    integrate(X, np.full((5, 4), 0.1), 1e-2, 3)
     assert X._eval_fn._tangent_map is None
     X.tangent(np.zeros(4))
     compiled = X._eval_fn._tangent_map
@@ -477,9 +480,10 @@ def _point_cases():
 
 @pytest.mark.parametrize("case", sorted(_point_cases()))
 def test_one_point_calls_keep_every_bit(case):
-    """A call at one point runs on the map's kept power table: each call is
-    `array_equal` to the per-call table product, whatever was called before
-    it (a point or a batch), and returns an array that owns its memory."""
+    """A one-point evaluator (`point_fn`) runs on a power table of its own:
+    each of its calls is `array_equal` to the per-call table product,
+    whatever was called before it (a point or a batch, on the map or on
+    another evaluator of it), and a result stays as it is after later calls."""
     field = _point_cases()[case]
     X, T = field._eval_fn, field.tangent_map()
     layout = {"degree-0": (X.deg == T.deg == 0), "degree-1": (X.deg == T.deg == 1),
@@ -488,24 +492,30 @@ def test_one_point_calls_keep_every_bit(case):
     rng = np.random.default_rng(17)
     dim = 2 * field.n
     for fmap in (X, T):
+        one, other = fmap.point_fn(), fmap.point_fn()
         first, second = rng.normal(size=(2, dim))
-        a = fmap(first)
-        b = fmap.at_point(second)
+        a, b = one(first), other(second)
+        kept = a.copy(), b.copy()
         assert np.array_equal(a, _reference_table_product(fmap, first)), case
         assert np.array_equal(b, _reference_table_product(fmap, second)), case
-        assert not np.shares_memory(a, fmap._point) and not np.shares_memory(b, fmap._point)
+        assert np.array_equal(fmap(first), a), case
         batch = rng.normal(size=(5, dim))
-        for calls in ((batch, first), (first, batch)):
+        for calls in ((batch, first, second), (second, batch, first)):
             for x in calls:
-                assert np.array_equal(fmap(x), _reference_table_product(fmap, x)), case
+                want = _reference_table_product(fmap, x)
+                assert np.array_equal(fmap(x), want), case
+                if x.ndim == 1:
+                    assert np.array_equal(one(x), want) and np.array_equal(other(x), want), case
+        assert np.array_equal(a, kept[0]) and np.array_equal(b, kept[1]), case
         for bad in (np.nan, np.inf, -np.inf):
             x = first.copy()
             x[dim - 1] = bad
             with np.errstate(over="ignore", invalid="ignore"):
-                got, want = fmap(x), _reference_table_product(fmap, x)
-                assert np.array_equal(got, want, equal_nan=True), (case, bad)
-                # the kept table holds no trace of the non-finite point
-                assert np.array_equal(fmap(first), a), case
+                want = _reference_table_product(fmap, x)
+                assert np.array_equal(fmap(x), want, equal_nan=True), (case, bad)
+                assert np.array_equal(one(x), want, equal_nan=True), (case, bad)
+                # the evaluator's table holds no trace of the non-finite point
+                assert np.array_equal(one(first), a), case
 
 
 @pytest.mark.parametrize("shape", [(2 * _CHUNK + 3,), (2, _CHUNK + 1), (_CHUNK + 1,)])
