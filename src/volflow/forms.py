@@ -450,30 +450,116 @@ class TwoFormField:
     # -- jets ----------------------------------------------------------------------
 
     def jet_at(self, x) -> PointwiseJet:
-        """Component values and first partials at x (batched points allowed)."""
-        pts = as_points(x, 2 * self.n)
-        n = self.n
-        batch = pts.shape[:-1]
-        arrays = {
-            name: np.zeros(batch + (n, n)) for name in ("Q", "A", "P")
-        }
-        darrays = {
-            name: np.zeros(batch + (n, n, n))
-            for name in ("dQ_dq", "dQ_dp", "dA_dq", "dA_dp", "dP_dq", "dP_dp")
-        }
-        for kind, i, j, f in self.components():
-            v = np.asarray(f.value(pts), dtype=float)
-            g = np.asarray(f.gradient(pts), dtype=float)
-            if not (np.isfinite(v).all() and np.isfinite(g).all()):
-                raise FieldEvaluationError(f"{kind}[{i},{j}]")
-            arrays[kind][..., i, j] = v
-            darrays[f"d{kind}_dq"][..., i, j, :] = g[..., :n]
-            darrays[f"d{kind}_dp"][..., i, j, :] = g[..., n:]
-            if kind in ("Q", "P"):
-                arrays[kind][..., j, i] = -v
-                darrays[f"d{kind}_dq"][..., j, i, :] = -g[..., :n]
-                darrays[f"d{kind}_dp"][..., j, i, :] = -g[..., n:]
-        return PointwiseJet(n=n, **arrays, **darrays)
+        """Component values and first partials at x, of shape (..., 2n).
+
+        The `Polynomial` components are evaluated together, values and
+        first partials in one pass over one power table per block of points
+        (`_polynomial_jets`).  Their rows are read from the components'
+        exponents and coefficients, never through `Polynomial.partial`, so
+        the jet shares nothing with the compiled field but those rows.  Any
+        other component gives its `value` and `gradient`.  A batch is taken
+        `_JET_BLOCK` points at a time, so no temporary grows with it; each
+        row is bit for bit the one a single-point call gives.  A non-finite
+        value or partial anywhere in the batch raises `FieldEvaluationError`
+        naming the first such component in `components()` order.
+        """
+        n, dim = self.n, 2 * self.n
+        pts = as_points(x, dim)
+        flat = pts.reshape(-1, dim)
+        comps = list(self.components())
+        fields = [f for *_, f in comps]
+        is_poly = [isinstance(f, Polynomial) and f.dim == dim for f in fields]
+        poly = [k for k, yes in enumerate(is_poly) if yes]
+        other = [k for k, yes in enumerate(is_poly) if not yes]
+        poly_jets = _polynomial_jets([fields[k] for k in poly], dim) if poly else None
+        # component k sits at full[..., kinds[k], rows[k], cols[k], :]
+        kinds, rows, cols = np.array([("QAP".index(kind), i, j) for kind, i, j, _ in comps],
+                                     dtype=np.intp).reshape(-1, 3).T
+        skew = kinds != 1  # Q and P reflect to (j, i) with the opposite sign
+        full = np.zeros((len(flat), 3, n, n, 1 + dim))
+        finite = np.ones(len(comps), dtype=bool)
+        for start in range(0, len(flat), _JET_BLOCK):
+            block = flat[start:start + _JET_BLOCK]
+            jets = np.empty((len(block), len(comps), 1 + dim))
+            if poly:
+                jets[:, poly] = poly_jets(block)
+            for k in other:
+                jets[:, k, 0] = fields[k].value(block)
+                jets[:, k, 1:] = fields[k].gradient(block)
+            finite &= np.isfinite(jets).all(axis=(0, 2))
+            out = full[start:start + _JET_BLOCK]
+            out[:, kinds, rows, cols] = jets
+            out[:, kinds[skew], cols[skew], rows[skew]] = -jets[:, skew]
+        if not finite.all():
+            kind, i, j, _ = comps[int(np.argmin(finite))]
+            raise FieldEvaluationError(f"{kind}[{i},{j}]")
+        full = full.reshape(pts.shape[:-1] + full.shape[1:])
+        parts = {}
+        for k, name in enumerate("QAP"):
+            parts[name] = full[..., k, :, :, 0]
+            parts[f"d{name}_dq"] = full[..., k, :, :, 1:n + 1]
+            parts[f"d{name}_dp"] = full[..., k, :, :, n + 1:]
+        return PointwiseJet(n=n, **parts)
+
+
+# Points whose jets `TwoFormField.jet_at` forms at once: a wider batch is
+# taken a block at a time, so no temporary grows with the batch.
+_JET_BLOCK = 256
+
+
+def _polynomial_jets(polys, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """pts -> jets, with jets[b, s, 0] the value of polys[s] at the point
+    pts[b] of a (B, dim) block and jets[b, s, 1 + i] its partial along x^i.
+
+    The rows of every output slot (polynomial s, value or partial i) are
+    stacked once, here, read from `_exps` and `_coeffs`: the value's rows
+    as they are, and the partial's the rows with E_i > 0, lowered by one,
+    with coefficient c * E_i (inf if it overflows, as in `partial`).  A
+    stable sort by slot makes each slot's rows contiguous.  A call fills
+    the power table x_d^e of its block, forms each monomial as a running
+    product over the coordinates in coordinate order, and sums each slot
+    over its own rows (`np.add.reduceat` along each point's row), so an
+    inf or NaN term stays in its own slot and every point's sums are the
+    same whatever the block.
+    """
+    width = 1 + dim
+    exps = np.concatenate([p._exps for p in polys])
+    coeffs = np.concatenate([p._coeffs for p in polys])
+    slot = np.repeat(np.arange(len(polys)) * width, [len(p._coeffs) for p in polys])
+    # one partial row per (row r, coordinate i) with E[r, i] > 0
+    r, i = np.nonzero(exps)
+    lowered = exps[r]
+    lowered[np.arange(len(r)), i] -= 1
+    with np.errstate(over="ignore"):  # an overflowing coefficient is inf
+        dcoeffs = coeffs[r] * exps[r, i]
+    slot = np.concatenate([slot, slot[r] + 1 + i])
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    first = np.flatnonzero(np.diff(slot, prepend=-1))
+    exps = np.concatenate([exps, lowered])[order]
+    coeffs = np.concatenate([coeffs, dcoeffs])[order]
+    deg = int(exps.max(initial=0))
+    # row e * dim + d of a point's flattened table is x_d^e
+    gathers = list((exps * dim + np.arange(dim)).T)
+    targets = slot[first]
+
+    def jets(pts: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(pts), len(polys) * width))
+        if len(coeffs):
+            table = np.empty((len(pts), deg + 1, dim))
+            table[:, 0] = 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for e in range(1, deg + 1):
+                    np.multiply(table[:, e - 1], pts, out=table[:, e])
+                table = table.reshape(len(pts), -1)
+                monos = table[:, gathers[0]]
+                for rows in gathers[1:]:
+                    monos *= table[:, rows]
+                monos *= coeffs
+                out[:, targets] = np.add.reduceat(monos, first, axis=1)
+        return out.reshape(len(pts), len(polys), width)
+
+    return jets
 
 
 def hamiltonian_two_form(H: ScalarField, n: int) -> TwoFormField:

@@ -1,5 +1,6 @@
 """Scalar fields, polynomials, and 2-form fields."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,8 +21,9 @@ from volflow import (
     trace_field,
     traceless_part,
 )
+from volflow import forms
 from volflow.forms import _fd_jacobian, _merge_rows, as_points
-from volflow.systems import random_polynomial
+from volflow.systems import random_alpha_system, random_polynomial, random_two_form
 
 
 # ------------------------------------------------------------------ as_points
@@ -331,6 +333,123 @@ def test_jet_overflow_polynomial():
     with pytest.raises(FieldEvaluationError):
         with np.errstate(over="ignore", invalid="ignore"):
             alpha.jet_at(np.array([1e5, 0.0, 0.0, 0.0]))
+
+
+def test_jet_overflow_raises_without_a_warning():
+    # no errstate here: the overflow is the jet's to handle, and the error
+    # names the overflowing component, not the finite one before it
+    q, _ = poly_variables(2)
+    huge = Polynomial(4, {(8, 0, 0, 0): 1e300})
+    A = {(0, 0): q[0] * q[0], (1, 1): huge}
+    # P comes after A in components() order
+    for alpha in (TwoFormField(2, A=A), TwoFormField(2, A=A, P={(0, 1): huge})):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldEvaluationError) as info:
+                alpha.jet_at(np.array([1e5, 0.0, 0.0, 0.0]))
+        assert info.value.component == "A[1,1]"
+
+
+def _jet_cases(n):
+    """2-forms on R^{2n}: random ones with a component whose terms all
+    cancel, a constant one and one of degree 5 in q^1; the empty form; and
+    one mixing `Polynomial` and generic `ScalarField` components."""
+    rng = np.random.default_rng(40 + n)
+    dim = 2 * n
+    q, p = poly_variables(n)
+    cancelled = q[0] * p[1] - p[1] * q[0]
+    assert cancelled._exps.shape[0] == 0
+    special = TwoFormField(n, Q={(0, 1): cancelled},
+                           A={(0, 0): Polynomial.constant(dim, -2.5),
+                              (1, 0): q[0] ** 5 * 0.3 + p[0] * q[0] ** 2},
+                           P={(0, n - 1): random_polynomial(dim, rng)})
+    wrapped = random_polynomial(dim, rng)
+    generic = ScalarField(lambda x, f=wrapped: f.value(x), wrapped.gradient)
+    fd = ScalarField(lambda x: np.sin(x[..., 0]) * x[..., -1])
+    mixed = TwoFormField(n, Q={(0, 1): generic}, A={(1, 1): q[1] * p[0], (0, 1): fd},
+                         P={(0, 1): random_polynomial(dim, rng)})
+    return [random_two_form(n, rng), special, TwoFormField(n), mixed]
+
+
+def _route_jet(alpha, pts):
+    """Each component's value and partials, by `value` and `partial(i).value`
+    for a `Polynomial` (scales: the same sums of |term|) and by `value` and
+    `gradient` for any other field."""
+    n, dim = alpha.n, 2 * alpha.n
+    want = {name: np.zeros(pts.shape[:-1] + (n, n, 1 + dim)) for name in "QAP"}
+    scale = {name: np.zeros(pts.shape[:-1] + (n, n, 1 + dim)) for name in "QAP"}
+    for kind, i, j, f in alpha.components():
+        if isinstance(f, Polynomial):
+            slots = [f] + [f.partial(b) for b in range(dim)]
+            vals = [g.value(pts) for g in slots]
+            sizes = [Polynomial(dim, (g._exps, np.abs(g._coeffs))).value(np.abs(pts))
+                     for g in slots]
+        else:
+            vals = [f.value(pts)] + list(np.moveaxis(f.gradient(pts), -1, 0))
+            sizes = [np.abs(v) for v in vals]
+        want[kind][..., i, j, :] = np.stack(vals, axis=-1)
+        scale[kind][..., i, j, :] = np.stack(sizes, axis=-1)
+    return want, scale
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pass_jet_matches_the_partials_route(n, shape):
+    for case, alpha in enumerate(_jet_cases(n)):
+        x = np.random.default_rng(case).standard_normal(shape + (2 * n,))
+        jet = alpha.jet_at(x)
+        want, scale = _route_jet(alpha, x)
+        for name in "QAP":
+            got = np.concatenate([getattr(jet, name)[..., None],
+                                  getattr(jet, f"d{name}_dq"),
+                                  getattr(jet, f"d{name}_dp")], axis=-1)
+            assert got.shape == shape + (n, n, 1 + 2 * n)
+            if name != "A":
+                # only i < j is stored; the reflection is the negative
+                assert np.array_equal(got, -np.swapaxes(got, -3, -2)), (case, name)
+                upper = np.triu(np.ones((n, n), dtype=bool), 1)
+                got, want[name], scale[name] = (
+                    a[..., upper, :] for a in (got, want[name], scale[name]))
+            err = np.abs(got - want[name])
+            assert np.all(err <= 1e-13 * np.maximum(scale[name], 1e-300)), (case, name)
+
+
+def test_jet_of_a_wide_batch_is_sliced_row_for_row(monkeypatch):
+    """A batch wider than `_JET_BLOCK` points is taken a block at a time,
+    and every row is the one an unsliced call gives, and a single-point
+    call, bit for bit."""
+    alpha = random_alpha_system(3, 2).alpha
+    block = forms._JET_BLOCK
+    x = 0.5 * np.random.default_rng(3).standard_normal((2 * block + 3, 6))
+    sliced = alpha.jet_at(x)
+    monkeypatch.setattr(forms, "_JET_BLOCK", 10 * len(x))
+    whole = alpha.jet_at(x)
+    names = ("Q", "A", "P", "dQ_dq", "dQ_dp", "dA_dq", "dA_dp", "dP_dq", "dP_dp")
+    for name in names:
+        assert np.array_equal(getattr(sliced, name), getattr(whole, name)), name
+    for b in (0, block + 1, len(x) - 1):
+        one = alpha.jet_at(x[b])
+        for name in names:
+            assert np.array_equal(getattr(one, name), getattr(sliced, name)[b]), name
+
+
+def test_a_wide_jet_allocates_one_block_of_temporaries():
+    """What a jet allocates beyond its output does not grow with the batch
+    (4x from 4 to 16 blocks when unsliced)."""
+    alpha = random_alpha_system(3, 2).alpha
+    extra = []
+    for count in (4 * forms._JET_BLOCK, 16 * forms._JET_BLOCK):
+        x = np.random.default_rng(0).standard_normal((count, 6))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            jet = alpha.jet_at(x)
+            out = count * 3 * 3 * 3 * 7 * 8  # Q, A and P with their 6 partials
+            extra.append(tracemalloc.get_traced_memory()[1] - before - out)
+        finally:
+            tracemalloc.stop()
+        assert jet.dP_dp.shape == (count, 3, 3, 3)
+    assert 0 < extra[1] <= 1.05 * extra[0], extra
 
 
 # ----------------------------------------------------- constructors and traces

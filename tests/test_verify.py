@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from volflow import verify
+from volflow.forms import Polynomial
+from volflow.systems import random_two_form
 from volflow.verify import TOLERANCES, _sampled
 
 
@@ -81,3 +83,24 @@ def test_the_exact_certificates_fail_on_a_wrong_pair(monkeypatch):
     monkeypatch.setattr(verify, "_field_terms", lambda alpha: real(alpha) * 2)
     result = verify.check_hamiltonian_reduction((2, 3), 2, seed=0)
     assert result.max_residual == np.inf and not result.passed
+
+
+def test_oracle_sees_a_faulty_polynomial_partial(monkeypatch):
+    """The jet reads the components' exponent rows itself, so a fault in
+    `Polynomial.partial`, which the compiled field is built from, reaches
+    only the component formula, and the oracle suite fails on it."""
+    assert verify.check_oracle_equivalence((2, 3), 5, 0).passed
+    x = np.array([0.3, -1.2, 0.7, 2.0])
+    alpha = random_two_form(2, np.random.default_rng(0))
+    alpha.jet_at(x)
+    assert all(f._partials == {} for *_, f in alpha.components())
+    original = Polynomial.partial
+
+    def scaled(self, i):
+        g = original(self, i)
+        return Polynomial._normal(g.dim, g._exps, g._coeffs * (1 + 1e-6))
+
+    monkeypatch.setattr(Polynomial, "partial", scaled)
+    faulty = verify.check_oracle_equivalence((2, 3), 5, 0)
+    assert not faulty.passed
+    assert faulty.max_residual > 1e-7
