@@ -68,15 +68,16 @@ def _is_number(value) -> bool:
 
 
 def _seed_fallback(explicit: Optional[int], default: int) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("VOLFLOW_SEED")
-    if env is not None:
+    name, seed = "seed", explicit
+    if seed is None:
+        name, seed = "VOLFLOW_SEED", os.environ.get("VOLFLOW_SEED", default)
         try:
-            return int(env)
+            seed = int(seed)
         except ValueError:
-            raise ConfigError(f"VOLFLOW_SEED must be an integer, got {env!r}")
-    return default
+            raise ConfigError(f"VOLFLOW_SEED must be an integer, got {seed!r}")
+    if seed < 0:  # numpy's generators refuse it
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
+    return int(seed)
 
 
 @dataclass

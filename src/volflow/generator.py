@@ -10,6 +10,7 @@ M_f a constant antisymmetric matrix (`_field_terms`).  In coordinates,
 (sums over repeated j; tr A = A^j_j).  Hessians are symmetric, so div X = 0
 and the flows preserve phase-space volume.  Hamilton's X = J grad H is the
 case alpha = H omega/(n-1), whose one component H/(n-1) has M = (n-1) J.
+A polynomial X is compiled into a `_MonomialMap`, which differentiates itself.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def generate(alpha: TwoFormField) -> GeneratedField:
     return _field(alpha.n, _field_terms(alpha), "from-two-form")
 
 
-def _names(n: int):
-    """The field's output names, in coordinate order."""
-    return [f"qdot{i + 1}" for i in range(n)] + [f"pdot{i + 1}" for i in range(n)]
+def _names(n: int, dot: str = "dot"):
+    """The field's output names in coordinate order (dot="": the coordinates')."""
+    return [f"q{dot}{i + 1}" for i in range(n)] + [f"p{dot}{i + 1}" for i in range(n)]
 
 
 def _check_finite(out: np.ndarray, names) -> np.ndarray:
@@ -114,13 +115,14 @@ def _check_finite(out: np.ndarray, names) -> np.ndarray:
 def _field(n: int, pairs, kind: str) -> GeneratedField:
     """The field X = sum of M_f grad f over `pairs` (f, M_f).
 
-    When every f is a `Polynomial` on R^{2n} the field is compiled into a
-    `_PolynomialField`.  Otherwise each call takes each f's gradient once and
-    adds only M_f's nonzero entries, so an overflowing partial (inf * 0 would
-    be NaN) reaches only the components it drives.
+    When every f is a `Polynomial` on R^{2n} it is compiled into one
+    `_MonomialMap`, X^a gaining M_f[a, d] * df/dx^d.  Otherwise each call
+    takes each f's gradient once and adds only M_f's nonzero entries, so an
+    overflowing partial (inf * 0 would be NaN) reaches only its components.
     """
     if all(isinstance(f, Polynomial) and f.dim == 2 * n for f, _ in pairs):
-        return GeneratedField(n, _PolynomialField(n, pairs), kind)
+        terms = [(a, M[a, d], f.partial(d)) for f, M in pairs for a, d in zip(*np.nonzero(M))]
+        return GeneratedField(n, _MonomialMap(2 * n, terms, _names(n)), kind)
 
     def eval_fn(pts):
         out = np.zeros(pts.shape)
@@ -188,12 +190,13 @@ def _in_chunks(fn: Callable, pts: np.ndarray, width: int) -> np.ndarray:
 
 
 class _MonomialMap:
-    """Y(x) = m(x) @ C, m the monomials of one basis, C one column per output.
+    """Y(x) = m(x) @ C on R^2n, m the monomials of one basis, C one column per output.
 
     `terms` yields (column, c, g): output `column` gains c * g for a float c
     and a `Polynomial` g.  The terms are merged into an (m, dim) exponent
-    basis and an (m, len(names)) coefficient matrix C; `finite` records,
-    once, whether every coefficient is finite.
+    `basis` and an (m, len(names)) coefficient matrix C; `finite` records,
+    once, whether every coefficient is finite.  `tangent_map` differentiates
+    each column of C on `basis` exactly: DY is the derivative of the map that runs.
 
     Evaluation is points-major: on x = pts.T, coordinates first, a call
     fills the ((deg + 1) * dim, ...) power table whose row e * dim + d is
@@ -211,8 +214,8 @@ class _MonomialMap:
     first row of `factors`, which the gather starts from, apart from the
     list of the others.  A call runs that plan and does no other work, on
     tables of its own at most `_CHUNK` points wide (`_in_chunks` slices a
-    wider batch), so the map is immutable once built.  `point_fn` gives a
-    one-point evaluator that owns its power table.
+    wider batch), so the map is immutable once built, its tangent map aside.
+    `point_fn` gives a one-point evaluator that owns its power table.
     """
 
     def __init__(self, dim: int, terms, names):
@@ -234,11 +237,25 @@ class _MonomialMap:
         order = np.argsort(~nonunit, axis=1, kind="stable")
         width = max(int(nonunit.sum(axis=1).max(initial=0)), 1)
         self.factors = np.take_along_axis(flat, order, axis=1)[:, :width].T
-        self.names = names
+        self.basis, self.names = basis, names
         self._rows = (self.deg + 1) * dim
         self._spans = [((e - 1) * dim, e * dim, (e + 1) * dim)
                        for e in range(1, self.deg + 1)]
         self._first, self._rest = self.factors[0], list(self.factors[1:])
+        self._tangent_map = None
+
+    def tangent_map(self) -> "_MonomialMap":
+        """The [Y | DY] map of the k outputs, column k + c * dim + b holding
+        dY^c/dx^b (inf where a coefficient overflows); compiled once."""
+        if self._tangent_map is None:
+            dim, k = self.basis.shape[1], len(self.names)
+            outputs = [Polynomial._normal(dim, self.basis, self.C[:, c]) for c in range(k)]
+            terms = [(c, 1.0, Y) for c, Y in enumerate(outputs)]
+            terms += [(k + c * dim + b, 1.0, Y.partial(b))
+                      for c, Y in enumerate(outputs) for b in range(dim)]
+            names = self.names + [f"d{y}/d{x}" for y in self.names for x in _names(dim // 2, "")]
+            self._tangent_map = _MonomialMap(dim, terms, names)
+        return self._tangent_map
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""
@@ -278,37 +295,6 @@ class _MonomialMap:
         for rows in self._rest:
             monos *= table[rows]
         return monos.T @ self.C
-
-
-class _PolynomialField(_MonomialMap):
-    """X(x) = m(x) @ C_X for a polynomial field X = sum of M_f grad f over
-    `pairs` (f, M_f), from the exact partials of each f: each nonzero
-    M_f[a, d] adds M_f[a, d] * df/dx^d to X^a.
-
-    `tangent_map` evaluates [X | DX] = m(x) @ [C_X | C_DX] from one table,
-    with C_DX built from the second partials; that wider map is compiled on
-    its first use, so fields that are only evaluated never pay for it.
-    """
-
-    def __init__(self, n: int, pairs):
-        dim = 2 * n
-        self.coords = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
-        # X^a gains M_f[a, d] * g for each first partial g = df/dx^d
-        self.partials = [(a, M[a, d], f.partial(d))
-                         for f, M in pairs for a, d in zip(*np.nonzero(M))]
-        super().__init__(dim, self.partials, _names(n))
-        self._tangent_map = None
-
-    def tangent_map(self) -> _MonomialMap:
-        """The compiled [X | DX] map; column dim + a * dim + b is dX^a/dx^b.
-        A second partial whose coefficient overflows holds inf there."""
-        if self._tangent_map is None:
-            dim = len(self.names)
-            second = [(dim + a * dim + b, m, g.partial(b))
-                      for a, m, g in self.partials for b in range(dim)]
-            names = self.names + [f"d{x}/d{c}" for x in self.names for c in self.coords]
-            self._tangent_map = _MonomialMap(dim, self.partials + second, names)
-        return self._tangent_map
 
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:

@@ -65,19 +65,22 @@ class LinearSystemSpec:
         k = np.asarray(self.k, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ValueError("k must be a square matrix")
+        if not np.isfinite(k).all():
+            raise ValueError("k must be finite (NaN and Infinity are not allowed)")
         object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
         return self.k.shape[0]
 
+    # halving first is exact and cannot overflow, as k + k.T can
     @property
     def s(self) -> np.ndarray:
-        return 0.5 * (self.k + self.k.T)
+        return 0.5 * self.k + 0.5 * self.k.T
 
     @property
     def a(self) -> np.ndarray:
-        return 0.5 * (self.k - self.k.T)
+        return 0.5 * self.k - 0.5 * self.k.T
 
     def hamiltonian(self) -> Polynomial:
         """H = |p|^2/2 + q.s.q/2, the energy of the symmetric part."""
@@ -198,8 +201,8 @@ def harmonic_oscillator(n: int = 2, omega_freqs=None) -> SystemInstance:
     if omega_freqs is None:
         omega_freqs = np.ones(n)
     w = np.asarray(omega_freqs, dtype=float)
-    if w.shape != (n,) or np.any(w <= 0):
-        raise ValueError("omega_freqs must be n positive reals")
+    if w.shape != (n,) or not np.all((w > 0) & (w < 1e154)):  # w ** 2 stays finite
+        raise ValueError("omega_freqs must be n positive reals below 1e154")
     inst = linear_system(np.diag(w ** 2), name="harmonic")
 
     def analytic(t, x0):

@@ -155,6 +155,57 @@ def test_simulate_a_huge_coefficient_scale_fails_without_a_warning(tmp_path, cap
     assert err == f"integration left the finite domain; partial trajectory in {csv}\n"
 
 
+@pytest.mark.parametrize("system, err", [
+    # 0.5 * k + 0.5 * k.T stays finite: the run leaves the finite domain
+    ({"name": "linear", "params": {"k": [[1e308, 0.0], [0.0, 1.0]]}}, None),
+    ({"name": "linear", "params": {"k": [[float("inf"), 0.0], [0.0, 1.0]]}},
+     "error: k must be finite (NaN and Infinity are not allowed)"),
+    ({"name": "linear", "params": {"k": [[1.0, float("nan")], [0.0, 1.0]]}},
+     "error: k must be finite (NaN and Infinity are not allowed)"),
+    ({"name": "harmonic", "params": {"omega_freqs": [1e200, 1.0]}},
+     "error: omega_freqs must be n positive reals below 1e154"),
+])
+def test_simulate_a_huge_linear_coefficient_exits_without_a_warning(tmp_path, capsys,
+                                                                    system, err):
+    csv = tmp_path / "big.csv"
+    cfg = _write_config(tmp_path, "big.json", {
+        "system": system, "steps": 3,
+        "outputs": {"trajectory": str(csv), "diagnostics": str(tmp_path / "diag.json")},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == (1 if err is None else 2)
+    want = f"integration left the finite domain; partial trajectory in {csv}"
+    assert capsys.readouterr().err == (want if err is None else err) + "\n"
+    assert csv.exists() == (err is None)
+
+
+@pytest.mark.parametrize("command", ["check", "oracle", "simulate"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, source):
+    # numpy's generators refuse a negative seed: it is refused first, by name
+    flag = ["--seed", "-1"] if source == "flag" else []
+    if source == "env":
+        monkeypatch.setenv("VOLFLOW_SEED", "-3")
+    else:
+        monkeypatch.delenv("VOLFLOW_SEED", raising=False)
+    outputs = {"trajectory": str(tmp_path / "traj.csv"),
+               "diagnostics": str(tmp_path / "diag.json")}
+    cfg = _write_config(tmp_path, "seed.json", {
+        "system": {"name": "random-alpha", "params": {"n": 2}}, "steps": 5,
+        "outputs": outputs, **({"seed": -1} if source == "flag" else {})})
+    argv = {"check": ["check", "--n", "2", "--trials", "1",
+                      "--report", str(tmp_path / "report.json")] + flag,
+            "oracle": ["oracle", "--alpha", "random", "--point", "0.1,0.2,0.3,0.4"] + flag,
+            "simulate": ["simulate", "--config", cfg]}[command]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    name, seed = ("seed", -1) if source == "flag" else ("VOLFLOW_SEED", -3)
+    assert out.out == ""
+    assert out.err == f"error: {name} must be a non-negative integer, got {seed}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["seed.json"]
+
+
 def test_simulate_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 2
     bad = _zero_config(tmp_path, dt=-1.0)

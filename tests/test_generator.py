@@ -35,6 +35,7 @@ from volflow.forms import _fd_jacobian
 from volflow.dynamics import _BLOCK
 from volflow.generator import _CHUNK, _MonomialMap, _check_finite, _field_terms
 from volflow.systems import coupled_oscillators, random_alpha_system, random_polynomial
+from volflow.verify import _exact_divergence
 
 
 def _witness_alpha():
@@ -304,11 +305,7 @@ def test_exact_divergence_certificate():
     worst = 0.0
     for trial in range(200):
         n = 2 + trial % 3
-        dim = 2 * n
-        compiled = generate(random_two_form(n, rng))._eval_fn.tangent_map()
-        diagonal = [dim + a * dim + a for a in range(dim)]
-        worst = max(worst, float(np.max(np.abs(compiled.C[:, diagonal].sum(axis=1)),
-                                        initial=0.0)))
+        worst = max(worst, _exact_divergence(generate(random_two_form(n, rng))))
     assert worst <= 1e-14
 
 
@@ -569,6 +566,59 @@ def test_monomial_map_finite_check():
             with pytest.raises(FieldEvaluationError) as info:
                 _check_finite(bad(np.array(x)), bad.names)
         assert info.value.component == name
+
+
+def test_a_monomial_map_differentiates_its_own_columns():
+    """`tangent_map` of a map built straight from terms, whose exponents 3
+    and 5 are no power of two: its X columns are the map's own call, and its
+    DX columns are the terms' exact partials and the central differences."""
+    q, p = poly_variables(2)
+    terms = [(0, 1.5, q[0] ** 3 * p[1] ** 5 - 0.25 * q[1] ** 5),
+             (1, -0.75, q[1] ** 3 * p[0] + 3.0 * q[0] ** 5 * q[1]),
+             (2, 2.0, p[0] ** 5 * p[1] ** 3 + q[0]), (0, 0.5, p[0] ** 3 * q[1] ** 3)]
+    fmap = _MonomialMap(4, terms, ["a", "b", "c"])
+    T = fmap.tangent_map()
+    assert T.names[:3] == ["a", "b", "c"] and T.names[3 + 4 + 2] == "db/dp1"
+    assert fmap.tangent_map() is T
+    rng = np.random.default_rng(25)
+    for shape in [(), (7,), (2, 3)]:
+        x = 0.6 * rng.normal(size=shape + (4,))
+        got = T(x)
+        assert got.shape == shape + (3 + 3 * 4,)
+        assert np.array_equal(got[..., :3], fmap(x))
+        want = np.zeros(shape + (3, 4))
+        for col, c, g in terms:
+            for b in range(4):
+                want[..., col, b] += c * g.partial(b).value(x)
+        dx = got[..., 3:].reshape(shape + (3, 4))
+        assert np.max(np.abs(dx - want) / (1.0 + np.abs(want))) <= 1e-13
+        for i in np.ndindex(shape):
+            fd = _fd_jacobian(fmap, x[i])
+            assert np.max(np.abs(dx[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
+
+
+def _second_partials_route(pairs, dim):
+    """The [X | DX] map built from the source pairs, as `generate` built it
+    before the map differentiated itself: the first partial terms of X, and
+    each one's partials as the DX terms."""
+    first = [(a, M[a, d], f.partial(d)) for f, M in pairs for a, d in zip(*np.nonzero(M))]
+    second = [(dim + a * dim + b, m, g.partial(b)) for a, m, g in first for b in range(dim)]
+    return _MonomialMap(dim, first + second, [""] * (dim + dim * dim))
+
+
+def test_the_tangent_map_is_the_second_partials_route_bit_for_bit():
+    rng = np.random.default_rng(26)
+    cases = [(generate(alpha), _field_terms(alpha))
+             for alpha in [random_two_form(n, rng) for n in (2, 3, 4) for _ in range(20)]]
+    for n in (1, 2, 3):
+        for _ in range(5):
+            H = random_polynomial(2 * n, rng)
+            cases.append((hamiltonian_field(H, n), [(H, _symplectic(n))]))
+    alpha = random_alpha_system(3, 2, degree=6).alpha
+    cases.append((generate(alpha), _field_terms(alpha)))
+    for field, pairs in cases:
+        T, want = field.tangent_map(), _second_partials_route(pairs, 2 * field.n)
+        assert np.array_equal(T.basis, want.basis) and np.array_equal(T.C, want.C)
 
 
 def test_tangent_overflow_names_the_entry():

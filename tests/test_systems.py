@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ def test_spec_symmetric_antisymmetric_split():
     assert np.allclose(spec.s + spec.a, k)
     with pytest.raises(ValueError):
         LinearSystemSpec(np.ones((2, 3)))
+
+
+def test_spec_split_halves_each_term_exactly():
+    # halving is exact, so the split keeps the bits of 0.5 * (k +- k.T)
+    # wherever that sum is finite, and stays finite where the sum overflows
+    k = np.random.default_rng(24).normal(size=(4, 4)) * 10.0 ** np.arange(-3, 1)
+    spec = LinearSystemSpec(k)
+    assert np.array_equal(spec.s, 0.5 * (k + k.T))
+    assert np.array_equal(spec.a, 0.5 * (k - k.T))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = LinearSystemSpec(np.array([[1e308, 1e308], [-1e308, 1.0]]))
+        assert np.array_equal(huge.s, [[1e308, 0.0], [0.0, 1.0]])
+        assert np.array_equal(huge.a, [[0.0, 1e308], [-1e308, 0.0]])
 
 
 def test_spec_hamiltonian_value():
