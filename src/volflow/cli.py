@@ -16,16 +16,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from .forms import FieldEvaluationError, Polynomial, TwoFormField, hamiltonian_two_form
 from .generator import _names, generate
 from .dynamics import monitor
-from .systems import (_integer, _parameters, build_system, coupled_oscillators,
-                      random_two_form)
+from .systems import (SystemInstance, _integer, _parameters, build_system,
+                      coupled_oscillators, random_two_form)
 from .verify import _oracle_solve, run_all
 
 SYMPLECTIC_THRESHOLD = 1e-6
@@ -67,90 +66,93 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _output(name: str, path) -> str:
+    """path, if a file can be written there: else a ConfigError naming `name`."""
+    if not (isinstance(path, str) and path):
+        raise ConfigError(f"{name} must be a file name, got {path!r}")
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{name} must name a file in an existing directory, got {path!r}")
+    return path
+
+
 def _seed_fallback(explicit: Optional[int], default: int) -> int:
-    name, seed = "seed", explicit
-    if seed is None:
-        name, seed = "VOLFLOW_SEED", os.environ.get("VOLFLOW_SEED", default)
-        try:
-            seed = int(seed)
-        except ValueError:
-            raise ConfigError(f"VOLFLOW_SEED must be an integer, got {seed!r}")
+    name = "VOLFLOW_SEED" if explicit is None else "seed"
+    seed = _integer(name, os.environ.get(name, default)) if explicit is None else explicit
     if seed < 0:  # numpy's generators refuse it
         raise ConfigError(f"{name} must be a non-negative integer, got {seed}")
-    return int(seed)
+    return seed
 
 
-@dataclass
-class RunConfig:
-    """Validated simulate settings assembled from config file plus flags."""
+class _Run(NamedTuple):
+    """A validated simulate run: what it integrates, how, and where it writes."""
 
-    system_name: str
-    system_params: Dict[str, object]
+    system: SystemInstance
+    x0: np.ndarray
     dt: float
     steps: int
-    sample_every: int = 1
-    x0: Optional[List[float]] = None
-    n: Optional[int] = None
-    seed: Optional[int] = None
-    trajectory_path: str = "trajectory.csv"
-    diagnostics_path: str = "diagnostics.json"
+    sample_every: int
+    trajectory_path: str
+    diagnostics_path: str
 
-    def validate(self):
-        if not 0 < self.dt < np.inf:
-            raise ConfigError("dt must be finite and positive")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.sample_every < 1:
-            raise ConfigError("sample_every must be >= 1")
 
-    @classmethod
-    def from_sources(cls, config_data: Dict[str, object], args) -> "RunConfig":
-        def pick(flag, key, fallback):
-            if flag is not None:
-                return flag
-            return config_data.get(key, fallback)
+def _read_run(args) -> _Run:
+    """The run that `simulate`'s flags and config file describe.
 
-        _object("config", config_data)
-        system = config_data.get("system", {})
-        if isinstance(system, str):
-            system = {"name": system}
-        _object("config.system", system)
-        if not isinstance(system.get("name"), str):
-            raise ConfigError("config.system must name a system")
-        params = system.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("config.system.params must be a JSON object")
-        outputs = _object("config.outputs", config_data.get("outputs", {}))
-        dt, x0 = pick(args.dt, "dt", 1e-3), config_data.get("x0")
-        if not _is_number(dt):
-            raise ConfigError(f"dt must be a number, got {dt!r}")
-        if not (x0 is None or isinstance(x0, list) and all(map(_is_number, x0))):
-            raise ConfigError(f"x0 must be a list of numbers, got {x0!r}")
-
-        def optional_integer(key):
-            value = config_data.get(key)
-            return None if value is None else _integer(key, value)
-
-        def path(flag, key, fallback):
-            value = flag or outputs.get(key, fallback)
-            if not (isinstance(value, str) and value):
-                raise ConfigError(f"config.outputs.{key} must be a file name, got {value!r}")
-            return value
-
-        cfg = cls(
-            system_name=system["name"],
-            system_params=dict(params),
-            dt=float(dt),
-            steps=_integer("steps", pick(args.steps, "steps", 1000)),
-            sample_every=_integer("sample_every", config_data.get("sample_every", 1)),
-            x0=x0,
-            n=optional_integer("n"),
-            seed=optional_integer("seed"),
-            trajectory_path=path(args.out, "trajectory", "trajectory.csv"),
-            diagnostics_path=path(args.diag, "diagnostics", "diagnostics.json"),
-        )
-        cfg.validate()
-        return cfg
+    Each setting is taken once, from its flag, else the config, else its
+    default, and checked where it is read: a bad one raises `ConfigError`
+    or `ValueError` naming it.  A seed or n in `system.params` wins over
+    the top-level one, and the seed the system takes passes `_seed_fallback`.
+    """
+    config: Dict[str, object] = {}
+    if args.config:
+        with open(args.config) as fh:
+            config = _object("config", json.load(fh))
+    system = config.get("system", {})
+    system = _object("config.system", {"name": system} if isinstance(system, str) else system)
+    name, params = system.get("name"), system.get("params", {})
+    if not isinstance(name, str):
+        raise ConfigError("config.system must name a system")
+    if not isinstance(params, dict):
+        raise ConfigError("config.system.params must be a JSON object")
+    outputs = _object("config.outputs", config.get("outputs", {}))
+    dt = config.get("dt", 1e-3) if args.dt is None else args.dt
+    if not _is_number(dt):
+        raise ConfigError(f"dt must be a number, got {dt!r}")
+    if not 0 < float(dt) < np.inf:
+        raise ConfigError("dt must be finite and positive")
+    x0 = config.get("x0")
+    if not (x0 is None or isinstance(x0, list) and all(map(_is_number, x0))):
+        raise ConfigError(f"x0 must be a list of numbers, got {x0!r}")
+    steps = _integer("steps", config.get("steps", 1000) if args.steps is None else args.steps)
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
+    sample_every = _integer("sample_every", config.get("sample_every", 1))
+    if sample_every < 1:
+        raise ConfigError("sample_every must be >= 1")
+    n, seed = (None if config.get(key) is None else _integer(key, config[key])
+               for key in ("n", "seed"))
+    paths = (_output("config.outputs.trajectory",
+                     args.out or outputs.get("trajectory", "trajectory.csv")),
+             _output("config.outputs.diagnostics",
+                     args.diag or outputs.get("diagnostics", "diagnostics.json")))
+    params, accepted = dict(params), _parameters(name)
+    if "seed" in accepted:
+        seed = _integer("seed", params["seed"]) if "seed" in params else seed
+        params["seed"] = _seed_fallback(seed, 0)
+    if n is not None and "n" in accepted:
+        params.setdefault("n", n)
+    try:
+        built = build_system(name, **params)
+    except TypeError as exc:  # a parameter of a type its builder cannot take
+        raise ConfigError(f"config.system.params: {exc}")
+    if n is not None and n != built.n:
+        raise ConfigError(f"config.n = {n} but system has n = {built.n}")
+    x0 = built.default_x0 if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (2 * built.n,):
+        raise ConfigError(f"x0 must have length {2 * built.n}")
+    if not np.isfinite(x0).all():
+        raise ConfigError("x0 must be finite (NaN and Infinity are not allowed)")
+    return _Run(built, x0, float(dt), steps, sample_every, *paths)
 
 
 def _format_row(values) -> str:
@@ -158,12 +160,8 @@ def _format_row(values) -> str:
 
 
 def _write_trajectory_csv(path: str, times, states, n: int):
-    header = "t," + ",".join(f"q{i + 1}" for i in range(n)) + "," + ",".join(
-        f"p{i + 1}" for i in range(n)
-    )
-    lines = [header]
-    for t, row in zip(times, states):
-        lines.append(_format_row([t] + list(row)))
+    lines = [",".join(["t"] + _names(n, ""))]
+    lines += [_format_row([t] + list(row)) for t, row in zip(times, states)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -176,56 +174,35 @@ def _dump_json(path: str, payload: Dict[str, object]):
 
 def cmd_simulate(args) -> int:
     try:
-        config_data: Dict[str, object] = {}
-        if args.config:
-            with open(args.config) as fh:
-                config_data = json.load(fh)
-        cfg = RunConfig.from_sources(config_data, args)
-        params, accepted = dict(cfg.system_params), _parameters(cfg.system_name)
-        if "seed" in accepted:
-            params.setdefault("seed", _seed_fallback(cfg.seed, 0))
-        if cfg.n is not None and "n" in accepted:
-            params.setdefault("n", cfg.n)
-        try:
-            system = build_system(cfg.system_name, **params)
-        except TypeError as exc:  # a parameter of a type its builder cannot take
-            raise ConfigError(f"config.system.params: {exc}")
-        if cfg.n is not None and cfg.n != system.n:
-            raise ConfigError(f"config.n = {cfg.n} but system has n = {system.n}")
-        x0 = system.default_x0 if cfg.x0 is None else np.asarray(cfg.x0, dtype=float)
-        if x0.shape != (2 * system.n,):
-            raise ConfigError(f"x0 must have length {2 * system.n}")
-        if not np.isfinite(x0).all():
-            raise ConfigError("x0 must be finite (NaN and Infinity are not allowed)")
+        run = _read_run(args)
     # OverflowError: an integer too large for a float, as dt or in x0
     except (ConfigError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    observables = {}
-    if system.hamiltonian is not None:
-        observables["H"] = system.hamiltonian
-    diag = monitor(system.field, x0, cfg.dt, cfg.steps,
-                   sample_every=max(1, cfg.steps // 20), observables=observables,
-                   trajectory_every=cfg.sample_every)
+    H = run.system.hamiltonian
+    observables = {} if H is None else {"H": H}
+    diag = monitor(run.system.field, run.x0, run.dt, run.steps,
+                   sample_every=max(1, run.steps // 20), observables=observables,
+                   trajectory_every=run.sample_every)
     traj = diag.trajectory
-    _write_trajectory_csv(cfg.trajectory_path, traj.times, traj.states, system.n)
+    _write_trajectory_csv(run.trajectory_path, traj.times, traj.states, run.system.n)
 
     diagnostics: Dict[str, object] = {
-        "system": system.name,
-        "n": system.n,
-        "dt": cfg.dt,
-        "steps": cfg.steps,
-        "sample_every": cfg.sample_every,
+        "system": run.system.name,
+        "n": run.system.n,
+        "dt": run.dt,
+        "steps": run.steps,
+        "sample_every": run.sample_every,
         "failed": bool(traj.failed),
         "rows_written": int(traj.states.shape[0]),
         "field_evaluations": diag.field_evaluations,
     }
     if traj.failed:
         diagnostics["last_valid_time"] = float(traj.times[-1]) if traj.times.size else 0.0
-        _dump_json(cfg.diagnostics_path, diagnostics)
+        _dump_json(run.diagnostics_path, diagnostics)
         print(f"integration left the finite domain; partial trajectory in "
-              f"{cfg.trajectory_path}", file=sys.stderr)
+              f"{run.trajectory_path}", file=sys.stderr)
         return FAILURE
 
     lie_max = diag.max_lie_omega()
@@ -239,11 +216,11 @@ def cmd_simulate(args) -> int:
     })
     if diag.energy_samples is not None:
         diagnostics["energy_drift"] = diag.max_energy_drift()
-    if system.invariants_expected:
-        diagnostics["expected"] = system.invariants_expected
-    _dump_json(cfg.diagnostics_path, diagnostics)
-    print(f"wrote {cfg.trajectory_path} ({traj.states.shape[0]} rows) and "
-          f"{cfg.diagnostics_path}")
+    if run.system.invariants_expected:
+        diagnostics["expected"] = run.system.invariants_expected
+    _dump_json(run.diagnostics_path, diagnostics)
+    print(f"wrote {run.trajectory_path} ({traj.states.shape[0]} rows) and "
+          f"{run.diagnostics_path}")
     return 0
 
 
@@ -253,8 +230,7 @@ def cmd_check(args) -> int:
         if not n_list or any(n < 2 or n > 4 for n in n_list):
             raise ConfigError("--n must list integers in 2..4")
         seed = _seed_fallback(args.seed, 42)
-        trials = int(args.trials)
-        if trials < 0:
+        if args.trials < 0:
             raise ConfigError("--trials must be >= 0")
         if not (0 < args.dt < np.inf and 0 < args.horizon < np.inf):
             raise ConfigError("--dt and --horizon must be finite and positive")
@@ -262,14 +238,16 @@ def cmd_check(args) -> int:
         if not (np.isfinite(steps) and 1 <= round(steps) <= _MAX_CHECK_STEPS):
             raise ConfigError("--horizon / --dt must round to a step count in "
                               f"1..{_MAX_CHECK_STEPS}, not {steps:g}")
+        if args.report:
+            _output("--report", args.report)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    results = run_all(n_list=n_list, trials=trials, seed=seed,
+    results = run_all(n_list=n_list, trials=args.trials, seed=seed,
                       dt=args.dt, horizon=args.horizon)
     report: Dict[str, object] = {name: r.to_report() for name, r in results.items()}
-    report["_meta"] = {"n": list(n_list), "trials": trials, "seed": seed}
+    report["_meta"] = {"n": list(n_list), "trials": args.trials, "seed": seed}
     all_pass = all(r.passed or r.skipped for r in results.values())
     for name, r in sorted(results.items()):
         mark = "skip" if r.skipped else "pass" if r.passed else "FAIL"

@@ -286,6 +286,7 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
                 lie.append(np.abs(_lie_omega_matrix(J, len(x) // 2)).max(axis=(-2, -1)))
             done += v
             x = xs[v - 1] if v else x
+        dets = np.cumprod(np.concatenate(step_dets))[::sample_every]  # inf if it overflows
     failed = v < len(xs) or not sampled
     states = np.concatenate(kept)
     n_traj = done // trajectory_every + 1
@@ -293,7 +294,6 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     trajectory = Trajectory(_sample_times(dt, steps, trajectory_every)[:n_traj],
                             states[:: trajectory_every // g], failed=failed,
                             last_valid_index=n_traj - 1 if failed else None, dt=dt)
-    dets = np.cumprod(np.concatenate(step_dets))[::sample_every]
     return _Pass(trajectory, _sample_times(dt, steps, sample_every)[:n_samples],
                  states[:: sample_every // g][:n_samples], dets[:n_samples],
                  np.concatenate(div), np.concatenate(lie), 4 * done)

@@ -353,29 +353,24 @@ def feng_shang_from_alpha(alpha: TwoFormField) -> FengShangTensor:
     vanish, and differs otherwise.
     """
     n = alpha.n
-    dim = 2 * n
+
+    def blocks(pts):
+        """The tensor with its value and 2n partials on a last axis of 1 + 2n."""
+        jet = alpha.jet_at(pts)
+        Q, A, P = (np.concatenate([getattr(jet, k)[..., None], getattr(jet, f"d{k}_dq"),
+                                   getattr(jet, f"d{k}_dp")], axis=-1) for k in "QAP")
+        out = np.zeros(pts.shape[:-1] + (2 * n, 2 * n, 1 + 2 * n))
+        out[..., :n, :n, :] = P
+        out[..., :n, n:, :] = -A
+        out[..., n:, :n, :] = np.swapaxes(A, -3, -2)
+        out[..., n:, n:, :] = Q
+        return out
 
     def tensor_fn(pts):
-        jet = alpha.jet_at(pts)
-        out = np.zeros(pts.shape[:-1] + (dim, dim))
-        out[..., :n, :n] = jet.P
-        out[..., :n, n:] = -jet.A
-        out[..., n:, :n] = np.swapaxes(jet.A, -1, -2)
-        out[..., n:, n:] = jet.Q
-        return out
+        return blocks(pts)[..., 0]
 
     def partial_fn(pts):
-        jet = alpha.jet_at(pts)
-        out = np.zeros(pts.shape[:-1] + (dim, dim, dim))
-        out[..., :n, :n, :n] = jet.dP_dq
-        out[..., :n, :n, n:] = jet.dP_dp
-        out[..., :n, n:, :n] = -jet.dA_dq
-        out[..., :n, n:, n:] = -jet.dA_dp
-        out[..., n:, :n, :n] = np.swapaxes(jet.dA_dq, -3, -2)
-        out[..., n:, :n, n:] = np.swapaxes(jet.dA_dp, -3, -2)
-        out[..., n:, n:, :n] = jet.dQ_dq
-        out[..., n:, n:, n:] = jet.dQ_dp
-        return out
+        return blocks(pts)[..., 1:]
 
     return FengShangTensor(n, tensor_fn, partial_fn)
 

@@ -349,6 +349,7 @@ def random_alpha_system(n: int = 2, seed: int = 0, degree: int = 3,
 def zero_system(n: int = 2) -> SystemInstance:
     """The zero field (every point is fixed); useful as a CLI smoke target."""
     alpha = TwoFormField(n)
+    x0 = np.zeros(2 * n)  # first, so an n beyond numpy's range fails before any field work
     return SystemInstance(
         name="zero",
         n=n,
@@ -356,7 +357,7 @@ def zero_system(n: int = 2) -> SystemInstance:
         alpha=alpha,
         hamiltonian=Polynomial.zero(2 * n),
         analytic=lambda t, x0: np.asarray(x0, dtype=float).copy(),
-        default_x0=np.zeros(2 * n),
+        default_x0=x0,
         invariants_expected={"volume": True, "energy": True, "symplectic": True},
     )
 
@@ -413,7 +414,7 @@ def _parameters(name: str) -> Tuple[str, ...]:
     return tuple(inspect.signature(SYSTEM_BUILDERS[name]).parameters)
 
 
-def build_system(name: str, **params) -> SystemInstance:
+def build_system(name: str, /, **params) -> SystemInstance:
     """Construct a registered system by name with keyword parameters; a
     parameter the system does not take raises `ValueError` naming it."""
     accepted = _parameters(name)

@@ -180,10 +180,12 @@ def test_simulate_a_huge_linear_coefficient_exits_without_a_warning(tmp_path, ca
     assert csv.exists() == (err is None)
 
 
-@pytest.mark.parametrize("command", ["check", "oracle", "simulate"])
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("source, command", [
+    (source, command) for source in ("env", "flag") for command in ("check", "oracle", "simulate")
+] + [("params", "simulate")])
 def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command, source):
-    # numpy's generators refuse a negative seed: it is refused first, by name
+    # numpy's generators refuse a negative seed: it is refused first, by name,
+    # from the flag, the config's top level, the system's params or VOLFLOW_SEED
     flag = ["--seed", "-1"] if source == "flag" else []
     if source == "env":
         monkeypatch.setenv("VOLFLOW_SEED", "-3")
@@ -191,8 +193,9 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command
         monkeypatch.delenv("VOLFLOW_SEED", raising=False)
     outputs = {"trajectory": str(tmp_path / "traj.csv"),
                "diagnostics": str(tmp_path / "diag.json")}
+    params = {"n": 2, **({"seed": -1} if source == "params" else {})}
     cfg = _write_config(tmp_path, "seed.json", {
-        "system": {"name": "random-alpha", "params": {"n": 2}}, "steps": 5,
+        "system": {"name": "random-alpha", "params": params}, "steps": 5,
         "outputs": outputs, **({"seed": -1} if source == "flag" else {})})
     argv = {"check": ["check", "--n", "2", "--trials", "1",
                       "--report", str(tmp_path / "report.json")] + flag,
@@ -200,7 +203,7 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command
             "simulate": ["simulate", "--config", cfg]}[command]
     assert main(argv) == 2
     out = capsys.readouterr()
-    name, seed = ("seed", -1) if source == "flag" else ("VOLFLOW_SEED", -3)
+    name, seed = ("VOLFLOW_SEED", -3) if source == "env" else ("seed", -1)
     assert out.out == ""
     assert out.err == f"error: {name} must be a non-negative integer, got {seed}\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["seed.json"]
@@ -373,6 +376,38 @@ def test_the_readme_simulate_config_runs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"name": 3}, "system 'zero' has no parameter 'name'; it takes: n"),
+    ({"n": 2 ** 64}, None),  # numpy's own message: no array of 2n entries exists
+])
+def test_simulate_refuses_a_system_it_cannot_build_in_one_line(tmp_path, capsys,
+                                                              params, message):
+    cfg = _zero_config(tmp_path, system={"name": "zero", "params": params}, x0=None)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("where", ["config", "flag", "report"])
+@pytest.mark.parametrize("path", ["missing/out.csv", "."])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
+                                                                monkeypatch, where, path):
+    monkeypatch.chdir(tmp_path)
+    outputs = {"outputs": {"trajectory": path}} if where == "config" else {}
+    cfg = _zero_config(tmp_path, **outputs)
+    argv = {"config": ["simulate", "--config", cfg],
+            "flag": ["simulate", "--config", cfg, "--diag", path],
+            "report": ["check", "--n", "2", "--trials", "1", "--report", path]}[where]
+    assert main(argv) == 2
+    name = {"config": "config.outputs.trajectory", "flag": "config.outputs.diagnostics",
+            "report": "--report"}[where]
+    assert capsys.readouterr().err == (
+        f"error: {name} must name a file in an existing directory, got {path!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 # ----------------------------------------------------------------------- check
 
 
@@ -421,6 +456,24 @@ def test_check_skips_suites_without_a_supported_n(tmp_path, capsys):
             assert line.startswith("pass ") and "skipped" not in entry
             assert entry["pass"] is True
     assert skipped < set(data)
+
+
+def test_check_a_volume_flow_that_leaves_the_finite_domain_fails_its_suite(tmp_path,
+                                                                         capsys):
+    # at dt = 1 the random n = 3 instance overflows before step 50: the suite
+    # fails with an inf residual, and the run still reports every suite
+    report = tmp_path / "report.json"
+    assert main(["check", "--n", "2", "--trials", "1", "--dt", "1", "--horizon", "50",
+                 "--report", str(report)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    data = json.loads(report.read_text())
+    lines = out.out.splitlines()
+    assert len(lines) == len(data) and lines[-1] == f"report written to {report}"
+    assert "FAIL  volume_preservation      max_residual inf  tolerance 1e-06" in lines
+    volume = data["volume_preservation"]
+    assert volume["pass"] is False and volume["max_residual"] == np.inf
+    assert volume["detail"]["random-alpha-n3"] == np.inf
 
 
 def test_check_zero_trials_empty_report(tmp_path):

@@ -355,6 +355,15 @@ def test_flow_dets_raise_on_blowup():
             flow_jacobian_dets(field, np.array([0.0, 1.0]), dt=0.5, steps=100)
 
 
+def test_flow_dets_that_overflow_read_inf_without_a_warning():
+    # RK4 at dt = 50 keeps the coupled flow finite, but the product of its
+    # step determinants passes the largest float; filterwarnings=error would
+    # turn numpy's overflow warning into a failure
+    sys = coupled_oscillators()
+    _, dets = flow_jacobian_dets(sys.field, sys.default_x0, dt=50.0, steps=50)
+    assert np.isfinite(dets[:20]).all() and np.isposinf(dets[-1])
+
+
 # ------------------------------------------------------------------ divergence
 
 
