@@ -23,8 +23,8 @@ import numpy as np
 from .forms import FieldEvaluationError, Polynomial, TwoFormField, hamiltonian_two_form
 from .generator import _names, generate
 from .dynamics import monitor
-from .systems import (SystemInstance, _integer, _parameters, build_system,
-                      coupled_oscillators, random_two_form)
+from .systems import (_MAX_N, SystemInstance, _integer, _is_number, _parameters,
+                      build_system, coupled_oscillators, random_two_form)
 from .verify import _oracle_solve, run_all
 
 SYMPLECTIC_THRESHOLD = 1e-6
@@ -59,11 +59,6 @@ def _object(where: str, value) -> dict:
         raise ConfigError(f"{where} has an unknown key {unknown[0]!r}; "
                           f"known keys: {', '.join(CONFIG_KEYS[where])}")
     return value
-
-
-def _is_number(value) -> bool:
-    """True for a JSON number: an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _output(name: str, path) -> str:
@@ -129,8 +124,8 @@ def _read_run(args) -> _Run:
     sample_every = _integer("sample_every", config.get("sample_every", 1))
     if sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
-    n, seed = (None if config.get(key) is None else _integer(key, config[key])
-               for key in ("n", "seed"))
+    n, seed = (None if config.get(key) is None else _integer(key, config[key], high=high)
+               for key, high in (("n", _MAX_N), ("seed", None)))
     paths = (_output("config.outputs.trajectory",
                      args.out or outputs.get("trajectory", "trajectory.csv")),
              _output("config.outputs.diagnostics",

@@ -207,12 +207,14 @@ def _fd_dx(X, pts: np.ndarray) -> np.ndarray:
         return np.full((1,) + pts.shape[-1:] * 2, np.nan)
 
 
-def _rk4_block(X, dx, x: np.ndarray, dt: float,
-               steps: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rk4_block(X, dx, x: np.ndarray, dt: float, steps: int,
+               dx_at_x: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`steps` RK4 steps from x, their Jacobians, and DX at their states.
 
     One call of the DX source `dx` (see `_dx_source`) at the stage points
-    and the last state gives every DX.  Each step Jacobian S is RK4 on the
+    and the last state gives every DX; `dx_at_x`, DX at x if the caller
+    holds it (the last DX of the block before), spares that call the first
+    stage point.  Each step Jacobian S is RK4 on the
     variational equation (x, V)' = (X(x), DX(x) V) from (x, I), all steps
     at once: with DX_i at stage i, dk_1 = DX_1, dk_2 = DX_2 (I + dt/2 dk_1),
     dk_3 = DX_3 (I + dt/2 dk_2), dk_4 = DX_4 (I + dt dk_3) and
@@ -224,7 +226,8 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float,
     stages, dim = [], x.shape[0]
     xs = np.empty((steps, dim))
     stages.append(_rk4_steps(X, x, dt, steps, 1, xs, stages)[0])
-    D = dx(np.array(stages))
+    D = (dx(np.array(stages)) if dx_at_x is None
+         else np.concatenate([dx_at_x[None], dx(np.array(stages[1:]))]))
     Dk = D[:-1].reshape(-1, 4, dim, dim)  # the four stages of each step
     eye = np.eye(dim)
     dk2 = Dk[:, 1] @ (eye + 0.5 * dt * Dk[:, 0])
@@ -251,7 +254,9 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
 
     Stepping keeps every g-th state, g = gcd(`sample_every`,
     `trajectory_every`), every step's det S, and at each sample state
-    div X = tr DX and max |DX^T W + W DX| from the DX its block took.  The
+    div X = tr DX and max |DX^T W + W DX| from the DX its block took; a
+    block after the first takes DX at its first state from the block before,
+    which took it at its last.  The
     trajectory and the samples are then taken from the kept states, and the
     flow-Jacobian determinants are one `cumprod` of the det S (the chain
     rule).  `calls` counts the field calls that stepped the path, four per
@@ -267,11 +272,11 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     g = math.gcd(sample_every, trajectory_every)
     kept, step_dets = [x[None, :]], [np.ones(1)]
     div, lie = [np.zeros(0)], [np.zeros(0)]
-    done, last = 0, False
+    done, last, DX = 0, False, [None]
     with np.errstate(over="ignore", invalid="ignore"):
         X, dx = _stepping_x(field, x), _dx_source(field)
         while not last:
-            xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done))
+            xs, S, DX = _rk4_block(X, dx, x, dt, min(_BLOCK, steps - done), DX[-1])
             good = np.isfinite(xs).all(axis=1) & np.isfinite(S).all(axis=(1, 2))
             v = len(xs) if good.all() else int(np.argmin(good))  # valid steps
             kept.append(xs[:v][(done + 1 + np.arange(v)) % g == 0])

@@ -15,6 +15,7 @@ A polynomial X is compiled into a `_MonomialMap`, which differentiates itself.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Tuple
 
 import numpy as np
@@ -116,13 +117,22 @@ def _field(n: int, pairs, kind: str) -> GeneratedField:
     """The field X = sum of M_f grad f over `pairs` (f, M_f).
 
     When every f is a `Polynomial` on R^{2n} it is compiled into one
-    `_MonomialMap`, X^a gaining M_f[a, d] * df/dx^d.  Otherwise each call
-    takes each f's gradient once and adds only M_f's nonzero entries, so an
-    overflowing partial (inf * 0 would be NaN) reaches only its components.
+    `_MonomialMap`, X^a gaining M_f[a, d] * df/dx^d: the rows of every f
+    are stacked once, and `np.nonzero` over the stacked M_f gives each
+    (pair, a, d) entry, lowered in one pass (`_lowered`).  Otherwise each
+    call takes each f's gradient once and adds only M_f's nonzero entries,
+    so an overflowing partial (inf * 0 would be NaN) reaches only its
+    components.
     """
-    if all(isinstance(f, Polynomial) and f.dim == 2 * n for f, _ in pairs):
-        terms = [(a, M[a, d], f.partial(d)) for f, M in pairs for a, d in zip(*np.nonzero(M))]
-        return GeneratedField(n, _MonomialMap(2 * n, terms, _names(n)), kind)
+    dim = 2 * n
+    if all(isinstance(f, Polynomial) and f.dim == dim for f, _ in pairs):
+        exps = np.concatenate([np.zeros((0, dim), dtype=np.int64)] + [f._exps for f, _ in pairs])
+        coeffs = np.concatenate([np.zeros(0)] + [f._coeffs for f, _ in pairs])
+        Ms = np.array([M for _, M in pairs]).reshape(-1, dim, dim)
+        pair, a, d = np.nonzero(Ms)
+        exps, coeffs, entry = _lowered(exps, coeffs, [len(f._coeffs) for f, _ in pairs],
+                                       pair, d, Ms[pair, a, d])
+        return GeneratedField(n, _MonomialMap(dim, exps, coeffs, a[entry], _names(n)), kind)
 
     def eval_fn(pts):
         out = np.zeros(pts.shape)
@@ -189,14 +199,40 @@ def _in_chunks(fn: Callable, pts: np.ndarray, width: int) -> np.ndarray:
     return out.reshape(pts.shape[:-1] + (width,))
 
 
+def _lowered(exps: np.ndarray, coeffs: np.ndarray, sizes, group: np.ndarray,
+             d: np.ndarray, factor: np.ndarray):
+    """The partials of stacked polynomials, scaled, as stacked rows.
+
+    (exps, coeffs) stacks polynomials in normal form, `sizes` rows each.
+    Entry j differentiates polynomial `group[j]` along x^d, d = `d[j]`: it
+    takes that polynomial's rows with E_d > 0, in order, lowers E_d by one
+    and gives each the coefficient (c * E_d) * `factor[j]` (inf where it
+    overflows), as `Polynomial.partial` and a scalar product would.
+    Returns (exps, coeffs, entry) of every entry's rows, entries in order.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    counts, starts = sizes[group], np.cumsum(sizes) - sizes
+    entry = np.repeat(np.arange(len(group)), counts)
+    # each entry's rows: its polynomial's first row, then on in order
+    rows = np.arange(len(entry)) + np.repeat(starts[group] - (np.cumsum(counts) - counts), counts)
+    power = exps[rows, d[entry]]
+    keep = power > 0
+    entry, rows, power = entry[keep], rows[keep], power[keep]
+    lowered = exps[rows]
+    lowered[np.arange(len(rows)), d[entry]] -= 1
+    with np.errstate(over="ignore"):
+        return lowered, coeffs[rows] * power * factor[entry], entry
+
+
 class _MonomialMap:
     """Y(x) = m(x) @ C on R^2n, m the monomials of one basis, C one column per output.
 
-    `terms` yields (column, c, g): output `column` gains c * g for a float c
-    and a `Polynomial` g.  The terms are merged into an (m, dim) exponent
-    `basis` and an (m, len(names)) coefficient matrix C; `finite` records,
-    once, whether every coefficient is finite.  `tangent_map` differentiates
-    each column of C on `basis` exactly: DY is the derivative of the map that runs.
+    The map is given as stacked rows: exponent row `exps[r]` with
+    coefficient `coeffs[r]` in output column `cols[r]`.  They are merged in
+    order into an (m, dim) exponent `basis` and an (m, len(names))
+    coefficient matrix C; `finite` records, once, whether every coefficient
+    is finite.  `tangent_map` differentiates each column of C on `basis`
+    exactly: DY is the derivative of the map that runs.
 
     Evaluation is points-major: on x = pts.T, coordinates first, a call
     fills the ((deg + 1) * dim, ...) power table whose row e * dim + d is
@@ -214,20 +250,14 @@ class _MonomialMap:
     first row of `factors`, which the gather starts from, apart from the
     list of the others.  A call runs that plan and does no other work, on
     tables of its own at most `_CHUNK` points wide (`_in_chunks` slices a
-    wider batch), so the map is immutable once built, its tangent map aside.
+    wider batch), so the map is immutable once built, its tangent map aside,
+    which is compiled once, under a lock, on the first call that asks.
     `point_fn` gives a one-point evaluator that owns its power table.
     """
 
-    def __init__(self, dim: int, terms, names):
-        exps = [np.zeros((0, dim), dtype=np.int64)]
-        coeffs, cols = [np.zeros(0)], [np.zeros(0, dtype=np.intp)]
-        for col, c, g in terms:
-            exps.append(g._exps)
-            coeffs.append(c * g._coeffs)
-            cols.append(np.full(g._coeffs.shape, col))
+    def __init__(self, dim: int, exps: np.ndarray, coeffs: np.ndarray, cols, names):
         # monomials whose terms all cancel are dropped
-        basis, self.C = _merge_rows(np.vstack(exps), np.concatenate(coeffs),
-                                    np.concatenate(cols), len(names))
+        basis, self.C = _merge_rows(exps, coeffs, cols, len(names))
         self.finite = bool(np.isfinite(self.C).all())
         self.deg = int(basis.max(initial=0))
         # each row's power-table indices e * dim + d, the non-unit ones
@@ -242,20 +272,30 @@ class _MonomialMap:
         self._spans = [((e - 1) * dim, e * dim, (e + 1) * dim)
                        for e in range(1, self.deg + 1)]
         self._first, self._rest = self.factors[0], list(self.factors[1:])
-        self._tangent_map = None
+        self._tangent_map, self._tangent_lock = None, threading.Lock()
 
     def tangent_map(self) -> "_MonomialMap":
         """The [Y | DY] map of the k outputs, column k + c * dim + b holding
-        dY^c/dx^b (inf where a coefficient overflows); compiled once."""
+        dY^c/dx^b (inf where a coefficient overflows); compiled once, by
+        whichever thread asks first, while the others wait for it."""
         if self._tangent_map is None:
-            dim, k = self.basis.shape[1], len(self.names)
-            outputs = [Polynomial._normal(dim, self.basis, self.C[:, c]) for c in range(k)]
-            terms = [(c, 1.0, Y) for c, Y in enumerate(outputs)]
-            terms += [(k + c * dim + b, 1.0, Y.partial(b))
-                      for c, Y in enumerate(outputs) for b in range(dim)]
-            names = self.names + [f"d{y}/d{x}" for y in self.names for x in _names(dim // 2, "")]
-            self._tangent_map = _MonomialMap(dim, terms, names)
+            with self._tangent_lock:
+                if self._tangent_map is None:
+                    self._tangent_map = self._compile_tangent()
         return self._tangent_map
+
+    def _compile_tangent(self) -> "_MonomialMap":
+        """Y's rows, column c taking the basis rows where C[:, c] is nonzero,
+        then each column's partial along each x^b, lowered in one pass."""
+        dim, k = self.basis.shape[1], len(self.names)
+        col, row = np.nonzero(self.C.T)
+        exps, coeffs = self.basis[row], self.C[row, col]
+        dexps, dcoeffs, entry = _lowered(exps, coeffs, np.bincount(col, minlength=k),
+                                         np.repeat(np.arange(k), dim),
+                                         np.tile(np.arange(dim), k), np.ones(k * dim))
+        names = self.names + [f"d{y}/d{x}" for y in self.names for x in _names(dim // 2, "")]
+        return _MonomialMap(dim, np.concatenate([exps, dexps]), np.concatenate([coeffs, dcoeffs]),
+                            np.concatenate([col, k + entry]), names)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """m(pts) @ C, unchecked: a non-finite entry is returned as it is."""

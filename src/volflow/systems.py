@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .forms import (
     ScalarField,
     TwoFormField,
     _antisymmetric_two_form,
+    _merge_rows,
     linear_system_two_form,
     poly_variables,
 )
@@ -143,17 +144,53 @@ class SystemInstance:
     invariants_expected: Dict[str, bool] = dc_field(default_factory=dict)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a bool, a number with a fractional part or anything
-    `int` refuses raises `ValueError` naming `name`, so no setting is
-    silently truncated."""
+def _integer(name: str, value, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """value as an int from `low` to `high` (None: unbounded); a bool, a
+    number with a fractional part, anything `int` refuses or an int out of
+    bounds raises `ValueError` naming `name`, so no setting is silently
+    truncated."""
     fractional = isinstance(value, float) and not value.is_integer()
     if not (isinstance(value, bool) or fractional):
         try:
-            return int(value)
+            out = int(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if (low is None or out >= low) and (high is None or out <= high):
+                return out
+            bounds = [f">= {low}"] * (low is not None) + [f"<= {high}"] * (high is not None)
+            raise ValueError(f"{name} must be an integer {' and '.join(bounds)}, got {out}")
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_KINDS = ("a {}number", "a list of {}numbers",
+          "a matrix of {}numbers (a list of equal-length lists)")
+
+
+def _reals(name: str, value, ndim: int = 0, finite: bool = True):
+    """value, JSON numbers nested `ndim` deep (a number, a list or a list of
+    equal-length lists), as a float or float array; a bool, a string or a
+    ragged list, or with `finite` a number that is not finite as a float,
+    raises `ValueError` naming `name`."""
+    entries = np.array(value, dtype=object)
+    if entries.ndim == ndim and all(map(_is_number, entries.flat)):
+        try:
+            out = entries.astype(float)
+        except OverflowError:  # an int beyond the floats
+            out = np.full(entries.shape, np.inf)
+        if not finite or np.isfinite(out).all():
+            return float(out) if ndim == 0 else out
+    kind = _KINDS[ndim].format("finite " if finite else "")
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+# The largest n whose 2n coordinates numpy can index.
+_MAX_N = np.iinfo(np.intp).max // 2
 
 
 def _default_linear_x0(n: int) -> np.ndarray:
@@ -286,6 +323,60 @@ def random_polynomial(dim: int, rng: np.random.Generator, degree: int = 3,
     return Polynomial(dim, (exps, coeffs))
 
 
+def _random_polynomials(k: int, dim: int, rng: np.random.Generator, degree: int = 3,
+                        max_terms: int = 4, scale: float = 1.0) -> List[Polynomial]:
+    """k random polynomials of `random_polynomial`'s distribution, drawn at once.
+
+    One draw each of the k * max_terms term degrees (uniform on 0..degree),
+    of all their coordinates (uniform) and of the coefficients (uniform on
+    [-1, 1] * scale), so the stream is not `random_polynomial`'s.  The
+    exponent rows are built with one `np.add.at` and merged once, keyed by
+    polynomial, which sums a monomial drawn twice in draw order.
+    """
+    terms = k * max_terms
+    counts = rng.integers(0, degree + 1, size=terms)
+    exps = np.zeros((terms, dim), dtype=np.int64)
+    coords = rng.integers(0, dim, size=int(counts.sum()))
+    np.add.at(exps, (np.repeat(np.arange(terms), counts), coords), 1)
+    coeffs = scale * rng.uniform(-1.0, 1.0, size=terms)
+    basis, C = _merge_rows(exps, coeffs, np.repeat(np.arange(k), max_terms), k)
+    return [Polynomial._normal(dim, basis, C[:, j]) for j in range(k)]
+
+
+def _two_form_of(n: int, draw: Callable[[int], List[Polynomial]],
+                 traceless: bool = False) -> TwoFormField:
+    """The random 2-form whose slots take, in order, the polynomials of one
+    `draw(k)`: Q_ij and P^ij for i < j, A^i_j for i != j, then A^i_i.
+    With `traceless` the last A^i_i is minus the sum of the others."""
+    dim, upper = 2 * n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    polys = iter(draw(2 * len(upper) + len(off) + (n - 1 if traceless else n)))
+    Q = {ij: next(polys) for ij in upper}
+    P = {ij: next(polys) for ij in upper}
+    A = {ij: next(polys) for ij in off}
+    diag = list(polys)
+    if traceless:
+        total = Polynomial.zero(dim)
+        for f in diag:
+            total = total + f
+        diag.append(-total)
+    A.update(((i, i), f) for i, f in enumerate(diag))
+    return TwoFormField(n, Q=Q, A=A, P=P)
+
+
+def _one_form_of(n: int, draw: Callable[[int], List[Polynomial]]) -> OneFormField:
+    """The random 1-form whose dq^i, then dp_i, components take one `draw(2n)`."""
+    polys = draw(2 * n)
+    return OneFormField.from_components(n, dq=dict(enumerate(polys[:n])),
+                                        dp=dict(enumerate(polys[n:])))
+
+
+def _one_by_one(dim: int, rng: np.random.Generator, degree: int, max_terms: int,
+                scale: float) -> Callable[[int], List[Polynomial]]:
+    """draw(k): k `random_polynomial`s, one after the other on rng's stream."""
+    return lambda k: [random_polynomial(dim, rng, degree, max_terms, scale) for _ in range(k)]
+
+
 def random_two_form(n: int, rng: np.random.Generator, degree: int = 3,
                     max_terms: int = 4, scale: float = 1.0,
                     traceless: bool = False) -> TwoFormField:
@@ -296,33 +387,12 @@ def random_two_form(n: int, rng: np.random.Generator, degree: int = 3,
     where the antisymmetric-tensor divergence route agrees with the
     generating construction.
     """
-    dim = 2 * n
-    mk = lambda: random_polynomial(dim, rng, degree, max_terms, scale)
-    Q = {(i, j): mk() for i in range(n) for j in range(i + 1, n)}
-    P = {(i, j): mk() for i in range(n) for j in range(i + 1, n)}
-    A = {(i, j): mk() for i in range(n) for j in range(n) if i != j}
-    if traceless:
-        diag = [mk() for _ in range(n - 1)]
-        total = Polynomial.zero(dim)
-        for i, f in enumerate(diag):
-            A[(i, i)] = f
-            total = total + f
-        A[(n - 1, n - 1)] = -total
-    else:
-        for i in range(n):
-            A[(i, i)] = mk()
-    return TwoFormField(n, Q=Q, A=A, P=P)
+    return _two_form_of(n, _one_by_one(2 * n, rng, degree, max_terms, scale), traceless)
 
 
 def random_one_form(n: int, rng: np.random.Generator, degree: int = 3,
                     max_terms: int = 4, scale: float = 1.0) -> OneFormField:
-    dim = 2 * n
-    mk = lambda: random_polynomial(dim, rng, degree, max_terms, scale)
-    return OneFormField.from_components(
-        n,
-        dq={i: mk() for i in range(n)},
-        dp={i: mk() for i in range(n)},
-    )
+    return _one_form_of(n, _one_by_one(2 * n, rng, degree, max_terms, scale))
 
 
 def random_alpha_system(n: int = 2, seed: int = 0, degree: int = 3,
@@ -362,8 +432,17 @@ def zero_system(n: int = 2) -> SystemInstance:
     )
 
 
+# The builders take a system's params and check each where it is read,
+# naming it `system.params.<key>`; the factories check what they need.
+
+def _n(n) -> int:
+    return _integer("system.params.n", n, high=_MAX_N)
+
+
 def _build_harmonic(n=2, omega_freqs=None):
-    return harmonic_oscillator(_integer("n", n), omega_freqs)
+    if omega_freqs is not None:
+        omega_freqs = _reals("system.params.omega_freqs", omega_freqs, 1)
+    return harmonic_oscillator(_n(n), omega_freqs)
 
 
 def _build_coupled():
@@ -373,27 +452,33 @@ def _build_coupled():
 def _build_linear(k=None):
     if k is None:
         raise ValueError("linear system requires params.k (a square matrix)")
-    return linear_system(np.asarray(k, dtype=float))
+    # LinearSystemSpec refuses a k that is not finite, naming k
+    return linear_system(_reals("system.params.k", k, 2, finite=False))
 
 
 def _build_drift(n=2, coupling=0.25, a=None, q0=None):
-    if a is None:
-        n = _integer("n", n)
-        if n < 2:
-            raise ValueError("drift systems need n >= 2")
-        a = np.zeros((n, n))
-        a[0, 1] = float(coupling)
-        a[1, 0] = -float(coupling)
-    return drift_system(np.asarray(a, dtype=float), q0)
+    if q0 is not None:
+        q0 = _reals("system.params.q0", q0, 1)
+    if a is not None:
+        return drift_system(_reals("system.params.a", a, 2), q0)
+    n, coupling = _n(n), _reals("system.params.coupling", coupling)
+    if n < 2:
+        raise ValueError("drift systems need n >= 2")
+    a = np.zeros((n, n))
+    a[0, 1], a[1, 0] = coupling, -coupling
+    return drift_system(a, q0)
 
 
 def _build_random(n=2, seed=0, degree=3, scale=0.1):
-    return random_alpha_system(_integer("n", n), _integer("seed", seed),
-                               _integer("degree", degree), float(scale))
+    # rng.integers takes degree + 1 as an int64
+    return random_alpha_system(_n(n), _integer("system.params.seed", seed, low=0),
+                               _integer("system.params.degree", degree, low=0,
+                                        high=np.iinfo(np.int64).max - 1),
+                               _reals("system.params.scale", scale))
 
 
 def _build_zero(n=2):
-    return zero_system(_integer("n", n))
+    return zero_system(_n(n))
 
 
 SYSTEM_BUILDERS = {

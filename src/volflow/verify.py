@@ -4,6 +4,9 @@ Each suite measures one identity or behavior and returns a SuiteResult
 with a single max residual and tolerance.  The sampled suites state only
 one case, `case(n, rng) -> residual`; the runner `_sampled` draws the
 cases for each supported n from one seeded stream and keeps the worst.
+A case draws its random polynomials from the battery's own vectorized
+stream (`_draw`: each 2-form, 1-form or set of polynomials in one draw),
+not the stream the public `random_two_form` and `random_polynomial` keep.
 `run_all` assembles the full report used by the command-line `check` and
 by the acceptance tests, and is the one place that sets each suite's
 effort and seed.  Identical seeds give identical reports.
@@ -12,6 +15,7 @@ effort and seed.  Identical seeds give identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,13 +49,13 @@ from .dynamics import (
     poisson_trace_residual,
 )
 from .systems import (
+    _one_form_of,
+    _random_polynomials,
+    _two_form_of,
     coupled_oscillators,
     drift_system,
     harmonic_oscillator,
     random_alpha_system,
-    random_one_form,
-    random_polynomial,
-    random_two_form,
 )
 
 __all__ = ["SuiteResult", "TOLERANCES", "VOLUME_RANDOM_INSTANCES", "run_all"]
@@ -135,6 +139,12 @@ def _sampled(name: str, case: Callable[[int, np.random.Generator], float], n_lis
     return _result(name, worst, detail=per_n if by_n else None, skipped=not ns)
 
 
+def _draw(n: int, rng: np.random.Generator) -> Callable[[int], list]:
+    """draw(k): k random polynomials on R^{2n}, drawn at once from the
+    battery's own stream (`systems._random_polynomials`)."""
+    return partial(_random_polynomials, dim=2 * n, rng=rng)
+
+
 def _oracle_solve(alpha: TwoFormField, x: np.ndarray) -> Tuple[np.ndarray, exterior.KForm]:
     """The oracle's X at x, from the jet alone: (X, target) where X solves
     nu_n(X) = target = n(n-1) d(alpha) ^ omega^{n-2}."""
@@ -155,7 +165,7 @@ def check_oracle_equivalence(n_list, trials: int, seed: int) -> SuiteResult:
     must match the componentwise evaluation, relatively to 1 + |X|.
     """
     def case(n, rng):
-        alpha = random_two_form(n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
         x = rng.standard_normal(2 * n)
         X = generate(alpha)(x)
         scale = 1.0 + _max_abs(X)
@@ -171,7 +181,7 @@ def check_hamiltonian_reduction(n_list, trials: int, seed: int) -> SuiteResult:
     """generate(H omega/(n-1)) equals the direct Hamiltonian field pointwise,
     and exactly: its components are the one pair (H/(n-1), (n-1) J)."""
     def case(n, rng):
-        H = random_polynomial(2 * n, rng)
+        H = _draw(n, rng)(1)[0]
         pts = rng.standard_normal((5, 2 * n))
         alpha = hamiltonian_two_form(H, n)
         pairs = _field_terms(alpha)
@@ -197,7 +207,7 @@ def check_divergence_free(n_list, points: int, seed: int) -> SuiteResult:
     size = max(1, points // max(1, 2 * len(_clamp(n_list, (2, 3)))))
 
     def case(n, rng):
-        alpha = random_two_form(n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
         pts = rng.standard_normal((size, 2 * n))
         asym = [_max_abs(M + M.T) for _, M in _field_terms(alpha)]
         X = generate(alpha)
@@ -245,8 +255,8 @@ def check_symplectic_witness() -> SuiteResult:
 def check_gauge_invariance(n_list, trials: int, seed: int) -> SuiteResult:
     """Adding d(beta) to alpha leaves the generated field unchanged."""
     def case(n, rng):
-        alpha = random_two_form(n, rng)
-        beta = random_one_form(n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
+        beta = _one_form_of(n, _draw(n, rng))
         pts = rng.standard_normal((3, 2 * n))
         return _max_abs(generate(gauge_shift(alpha, beta))(pts) - generate(alpha)(pts))
 
@@ -256,8 +266,8 @@ def check_gauge_invariance(n_list, trials: int, seed: int) -> SuiteResult:
 def check_observable_derivative(n_list, trials: int, seed: int) -> SuiteResult:
     """fdot along the flow equals the exterior-product expression."""
     def case(n, rng):
-        alpha = random_two_form(n, rng)
-        f = random_polynomial(2 * n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
+        f = _draw(n, rng)(1)[0]
         return check_dotf(alpha, f, rng.standard_normal(2 * n))
 
     return _sampled("observable_derivative", case, n_list, (2, 3), trials, seed)
@@ -266,8 +276,7 @@ def check_observable_derivative(n_list, trials: int, seed: int) -> SuiteResult:
 def check_poisson_trace(n_list, trials: int, seed: int) -> SuiteResult:
     """{f, g} equals the trace of dg ^ df."""
     def case(n, rng):
-        f = random_polynomial(2 * n, rng)
-        g = random_polynomial(2 * n, rng)
+        f, g = _draw(n, rng)(2)
         return poisson_trace_residual(f, g, rng.standard_normal(2 * n))
 
     return _sampled("poisson_trace", case, n_list, (2, 3), trials, seed)
@@ -276,7 +285,7 @@ def check_poisson_trace(n_list, trials: int, seed: int) -> SuiteResult:
 def check_trace_closed_form(n_list, trials: int, seed: int) -> SuiteResult:
     """Diagonal A sum equals the coefficient ratio from alpha ^ omega^{n-1}."""
     def case(n, rng):
-        alpha = random_two_form(n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
         x = rng.standard_normal(2 * n)
         jet = alpha.jet_at(x)
         form = two_form_from_components(jet.Q, jet.A, jet.P)
@@ -331,7 +340,7 @@ def check_feng_shang(n_list, trials: int, seed: int) -> SuiteResult:
                         - generate(alpha)(pts))
 
     def case(n, rng):
-        alpha = random_two_form(n, rng, traceless=True)
+        alpha = _two_form_of(n, _draw(n, rng), traceless=True)
         return gap(alpha, rng.standard_normal((3, 2 * n)))
 
     sampled = _sampled("feng_shang", case, n_list, (2, 3), trials, seed)
@@ -362,7 +371,7 @@ def check_drift_analytic() -> SuiteResult:
 def check_decomposition(n_list, trials: int, seed: int) -> SuiteResult:
     """Hamiltonian-plus-remainder split sums back to the generated field."""
     def case(n, rng):
-        alpha = random_two_form(n, rng)
+        alpha = _two_form_of(n, _draw(n, rng))
         X = generate(alpha)
         XH, Xr = decompose(alpha)
         pts = rng.standard_normal((10, 2 * n))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from volflow.cli import main
+from volflow.systems import _parameters
 
 
 def _write_config(tmp_path, name, payload):
@@ -247,7 +248,7 @@ def test_simulate_takes_integral_config_numbers(tmp_path, capsys):
     bad = _zero_config(tmp_path, system={"name": "random-alpha", "params": {"n": 2.5}},
                        x0=None)
     assert main(["simulate", "--config", bad]) == 2
-    assert capsys.readouterr().err == "error: n must be an integer, got 2.5\n"
+    assert capsys.readouterr().err == "error: system.params.n must be an integer, got 2.5\n"
 
 
 @pytest.mark.parametrize("system, bad", [
@@ -359,8 +360,40 @@ def test_simulate_rejects_a_parameter_its_builder_cannot_take(tmp_path, capsys, 
     cfg = _zero_config(tmp_path, system={"name": "random-alpha", "params": params}, x0=None)
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config.system.params: ") and err.count("\n") == 1
+    assert err.startswith("error: system.params.scale must be a finite number, got ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "traj.csv").exists()
+
+
+# (system, key, value): a value of a system's parameter that its builder
+# refuses, naming the key, where numpy or float() would have spoken
+BAD_PARAMETERS = [
+    ("random-alpha", "degree", -1), ("random-alpha", "degree", 2 ** 64),
+    ("random-alpha", "scale", "x"), ("random-alpha", "scale", None),
+    ("random-alpha", "scale", float("inf")), ("random-alpha", "scale", 10 ** 400),
+    ("random-alpha", "scale", True),
+    ("drift", "coupling", "x"), ("drift", "coupling", float("nan")),
+    ("drift", "coupling", [0.25]), ("drift", "a", [[0.0, float("inf")], [0.0, 0.0]]),
+    ("drift", "a", [[0.0, "x"], [0.0, 0.0]]), ("drift", "q0", [float("nan"), 0.0]),
+    ("linear", "k", [["x", 0.0], [0.0, 1.0]]), ("linear", "k", [[1.0, 0.0], [1.0]]),
+    ("harmonic", "omega_freqs", ["x", 1.0]), ("harmonic", "omega_freqs", 2.0),
+] + [(name, "n", n) for name in ("harmonic", "drift", "random-alpha", "zero")
+     for n in (2 ** 64, 10 ** 400)]
+
+
+@pytest.mark.parametrize("system, key, value", BAD_PARAMETERS,
+                         ids=[f"{name}-{key}-{i}" for i, (name, key, _) in enumerate(BAD_PARAMETERS)])
+def test_a_bad_system_parameter_is_named_in_one_line(tmp_path, capsys, system, key, value):
+    assert key in _parameters(system)
+    params = {"k": [[1.0, 0.0], [0.0, 1.0]]} if system == "linear" else {}
+    cfg = _zero_config(tmp_path, system={"name": system, "params": {**params, key: value}},
+                       x0=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: system.params.{key} must be ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_the_readme_simulate_config_runs(tmp_path, capsys):

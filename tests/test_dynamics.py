@@ -29,7 +29,7 @@ from volflow import (
     trace_of,
     wedge,
 )
-from volflow import generator
+from volflow import dynamics, generator
 from volflow.dynamics import _BLOCK, _dx_source, _one_pass, _rk4_block, _stepping_x
 from volflow.systems import (
     COUPLED_K,
@@ -304,6 +304,28 @@ def test_flow_dets_across_block_boundaries():
     assert np.array_equal(times, every_step[0][::7])
     assert np.max(np.abs(dets - every_step[1][::7]) / np.abs(dets)) <= 1e-15
     assert np.max(np.abs(every_step[1] - 1.0)) <= 1e-8
+
+
+def test_a_pass_takes_dx_once_at_each_point(monkeypatch):
+    """A block after the first takes DX at its first state from the block
+    before, so a pass asks its DX source for 4 points per step and one
+    more, at the last state, however the steps fall into blocks."""
+    sys = random_alpha_system(n=3, seed=2)
+    steps, points, source = 3 * _BLOCK + 5, [], dynamics._dx_source
+
+    def counting(field):
+        dx = source(field)
+
+        def counted(pts):
+            points.append(len(pts))
+            return dx(pts)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_dx_source", counting)
+    run = _one_pass(sys.field, sys.default_x0, 1e-2, steps, 1, 1)
+    assert not run.trajectory.failed and run.calls == 4 * steps
+    assert points == [4 * _BLOCK + 1, 4 * _BLOCK, 4 * _BLOCK, 4 * 5]
 
 
 @pytest.mark.parametrize("case", ["finite", "last-dx-overflows"])

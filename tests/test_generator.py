@@ -1,5 +1,6 @@
 """Vector-field generation from 2-forms and the block-tensor route."""
 
+import threading
 import tracemalloc
 import warnings
 
@@ -31,7 +32,7 @@ from volflow import (
     d_at_point,
 )
 from volflow import generator
-from volflow.forms import _fd_jacobian
+from volflow.forms import _fd_jacobian, _merge_rows
 from volflow.dynamics import _BLOCK
 from volflow.generator import _CHUNK, _MonomialMap, _check_finite, _field_terms
 from volflow.systems import coupled_oscillators, random_alpha_system, random_polynomial
@@ -547,20 +548,34 @@ def test_a_wide_call_allocates_one_slice_of_temporaries():
         assert 0 < extra[1] <= 1.05 * extra[0], extra
 
 
+def _terms_rows(dim, terms):
+    """The stacked (exps, coeffs, cols) rows of terms (column, c, g): output
+    `column` gains c * g for a float c and a `Polynomial` g."""
+    exps = np.vstack([np.zeros((0, dim), dtype=np.int64)] + [g._exps for _, _, g in terms])
+    coeffs = np.concatenate([np.zeros(0)] + [c * g._coeffs for _, c, g in terms])
+    cols = np.concatenate([np.zeros(0, dtype=np.intp)]
+                          + [np.full(g._coeffs.shape, col) for col, _, g in terms])
+    return exps, coeffs, cols
+
+
+def _terms_map(dim, terms, names):
+    return _MonomialMap(dim, *_terms_rows(dim, terms), names)
+
+
 def test_monomial_map_finite_check():
     one = Polynomial.constant(2, 1.0)
     q, p = Polynomial.coordinate(2, 0), Polynomial.coordinate(2, 1)
     # columns a and b are finite at 1e308 each, so their sum overflows
-    big = _MonomialMap(2, [(0, 1.0, one * 1e308), (1, 1.0, one * 1e308), (2, 1.0, q)],
-                       ["a", "b", "c"])
+    big = _terms_map(2, [(0, 1.0, one * 1e308), (1, 1.0, one * 1e308), (2, 1.0, q)],
+                     ["a", "b", "c"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _check_finite(big(np.array([2.0, 0.0])), big.names)
         assert np.array_equal(out, [1e308, 1e308, 2.0])
     # column b is 1e308 (q - p): +inf, then -inf; a NaN coordinate makes
     # every column NaN, so the first is named
-    bad = _MonomialMap(2, [(0, 1.0, one), (1, 1.0, (q - p) * 1e308), (2, 1.0, one)],
-                       ["a", "b", "c"])
+    bad = _terms_map(2, [(0, 1.0, one), (1, 1.0, (q - p) * 1e308), (2, 1.0, one)],
+                     ["a", "b", "c"])
     for x, name in (([10.0, 0.0], "b"), ([0.0, 10.0], "b"), ([np.nan, 0.0], "a")):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FieldEvaluationError) as info:
@@ -576,7 +591,7 @@ def test_a_monomial_map_differentiates_its_own_columns():
     terms = [(0, 1.5, q[0] ** 3 * p[1] ** 5 - 0.25 * q[1] ** 5),
              (1, -0.75, q[1] ** 3 * p[0] + 3.0 * q[0] ** 5 * q[1]),
              (2, 2.0, p[0] ** 5 * p[1] ** 3 + q[0]), (0, 0.5, p[0] ** 3 * q[1] ** 3)]
-    fmap = _MonomialMap(4, terms, ["a", "b", "c"])
+    fmap = _terms_map(4, terms, ["a", "b", "c"])
     T = fmap.tangent_map()
     assert T.names[:3] == ["a", "b", "c"] and T.names[3 + 4 + 2] == "db/dp1"
     assert fmap.tangent_map() is T
@@ -597,13 +612,41 @@ def test_a_monomial_map_differentiates_its_own_columns():
             assert np.max(np.abs(dx[i] - fd) / (1.0 + np.abs(fd))) <= 1e-7
 
 
+def _partials_route(pairs, dim):
+    """The X terms as `generate` built them before it lowered all the
+    components' rows in one pass: one `Polynomial.partial` per nonzero
+    entry (a, d) of each M_f, scaled by M_f[a, d]."""
+    return [(a, M[a, d], f.partial(d)) for f, M in pairs for a, d in zip(*np.nonzero(M))]
+
+
 def _second_partials_route(pairs, dim):
     """The [X | DX] map built from the source pairs, as `generate` built it
     before the map differentiated itself: the first partial terms of X, and
     each one's partials as the DX terms."""
-    first = [(a, M[a, d], f.partial(d)) for f, M in pairs for a, d in zip(*np.nonzero(M))]
+    first = _partials_route(pairs, dim)
     second = [(dim + a * dim + b, m, g.partial(b)) for a, m, g in first for b in range(dim)]
-    return _MonomialMap(dim, first + second, [""] * (dim + dim * dim))
+    return _terms_map(dim, first + second, [""] * (dim + dim * dim))
+
+
+def test_the_x_map_is_the_partials_route_bit_for_bit():
+    """The X map's rows, lowered in one pass, merge to the basis, C and
+    factors that one `partial` per (f, a, d) entry gives: plain and
+    traceless 2-forms at n = 2, 3, 4, and H omega/(n-1), whose components
+    are all one polynomial.  Dense low-degree forms make many terms meet in
+    one coefficient, whose sum then depends on the order of the rows."""
+    rng = np.random.default_rng(27)
+    alphas = [random_two_form(n, rng, traceless=traceless, **dense)
+              for n in (2, 3, 4) for traceless in (False, True) for _ in range(10)
+              for dense in ({}, {"degree": 2, "max_terms": 12})]
+    alphas += [hamiltonian_two_form(random_polynomial(2 * n, rng), n) for n in (2, 3, 4)]
+    alphas.append(random_alpha_system(3, 2, degree=6).alpha)
+    for alpha in alphas:
+        dim, pairs = 2 * alpha.n, _field_terms(alpha)
+        X = generate(alpha)._eval_fn
+        basis, C = _merge_rows(*_terms_rows(dim, _partials_route(pairs, dim)), dim)
+        assert np.array_equal(X.basis, basis) and np.array_equal(X.C, C)
+        want = _terms_map(dim, _partials_route(pairs, dim), X.names)
+        assert np.array_equal(X.factors, want.factors)
 
 
 def test_the_tangent_map_is_the_second_partials_route_bit_for_bit():
@@ -619,6 +662,33 @@ def test_the_tangent_map_is_the_second_partials_route_bit_for_bit():
     for field, pairs in cases:
         T, want = field.tangent_map(), _second_partials_route(pairs, 2 * field.n)
         assert np.array_equal(T.basis, want.basis) and np.array_equal(T.C, want.C)
+
+
+def test_two_threads_compile_the_tangent_map_once(monkeypatch):
+    """The first thread to ask compiles the tangent map; a second one that
+    asks meanwhile waits for it, and both get the one compiled map."""
+    fmap = generate(random_two_form(2, np.random.default_rng(28)))._eval_fn
+    compile_tangent, builds = _MonomialMap._compile_tangent, []
+    started, release = threading.Event(), threading.Event()
+
+    def slow(self):
+        builds.append(self)
+        started.set()
+        release.wait(timeout=60)
+        return compile_tangent(self)
+
+    monkeypatch.setattr(_MonomialMap, "_compile_tangent", slow)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(fmap.tangent_map())) for _ in range(2)]
+    threads[0].start()
+    assert started.wait(timeout=60)
+    threads[1].start()
+    threads[1].join(timeout=0.5)  # it waits for the first thread's compile
+    release.set()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(builds) == 1 and len(got) == 2 and got[0] is got[1] is fmap.tangent_map()
 
 
 def test_tangent_overflow_names_the_entry():

@@ -1,5 +1,6 @@
 """Prebuilt systems: linear algebra splits, analytic flows, random instances."""
 
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from volflow import (
     COUPLED_K,
     DRIFT_SIGN,
     LinearSystemSpec,
+    Polynomial,
     build_system,
     coupled_oscillators,
     drift_system,
@@ -29,7 +31,8 @@ from volflow import (
     trace_field,
     zero_system,
 )
-from volflow.systems import SYSTEM_BUILDERS, random_polynomial
+from volflow.systems import (SYSTEM_BUILDERS, _one_form_of, _random_polynomials, _two_form_of,
+                             random_polynomial)
 
 
 # ------------------------------------------------------------- LinearSystemSpec
@@ -235,6 +238,48 @@ def test_random_polynomial_keeps_its_random_stream():
         ((0, 0, 0, 1, 0, 1), 0.08724998293084574),
         ((0, 1, 0, 2, 0, 0), -0.9180529521276106),
     ]
+
+
+@pytest.mark.parametrize("dim, degree, max_terms, scale", [
+    (4, 3, 4, 1.0), (6, 3, 4, 1.0), (8, 3, 4, 0.1), (2, 1, 12, 2.0), (4, 0, 3, 1.0)])
+def test_polynomials_drawn_at_once_keep_the_budget(dim, degree, max_terms, scale):
+    """Each polynomial of one draw has at most max_terms distinct monomials,
+    in normal form, of total degree <= degree, each coefficient a sum of at
+    most max_terms draws from [-scale, scale]; a seed draws them again."""
+    polys = _random_polynomials(200, dim, np.random.default_rng(5), degree, max_terms, scale)
+    again = _random_polynomials(200, dim, np.random.default_rng(5), degree, max_terms, scale)
+    assert [f.terms() for f in polys] == [g.terms() for g in again]
+    for f in polys:
+        assert f.dim == dim and len(f._coeffs) <= max_terms
+        assert np.all(f._exps.sum(axis=1) <= degree)
+        assert np.all((f._coeffs != 0.0) & (np.abs(f._coeffs) <= scale * max_terms))
+        assert f.terms() == Polynomial(dim, (f._exps, f._coeffs)).terms()  # merged, sorted
+    # the budget is used: some polynomial has as many monomials as it may,
+    # and some monomial has the full degree
+    most = min(max_terms, math.comb(dim + degree, degree))
+    assert max(len(f._coeffs) for f in polys) == most
+    assert max(int(f._exps.sum(axis=1).max(initial=0)) for f in polys) == degree
+
+
+def test_forms_drawn_at_once_fill_the_public_slot_layout():
+    """One seed gives the same 2-forms and 1-forms twice, in the slots, and
+    with the trace rule, that the public drawers fill."""
+    def forms(seed):
+        rng = np.random.default_rng(seed)
+        draw = lambda k: _random_polynomials(k, 6, rng)
+        return [_two_form_of(3, draw), _two_form_of(3, draw, traceless=True), _one_form_of(3, draw)]
+
+    first, second = forms(9), forms(9)
+    for a, b in zip(first[:2], second[:2]):
+        assert [(k, i, j, f.terms()) for k, i, j, f in a.components()] == \
+            [(k, i, j, f.terms()) for k, i, j, f in b.components()]
+    public = random_two_form(3, np.random.default_rng(9), traceless=True)
+    assert [c[:3] for c in first[1].components()] == [c[:3] for c in public.components()]
+    x = np.random.default_rng(1).normal(size=(4, 6))
+    assert np.max(np.abs(trace_field(first[1]).value(x))) <= 1e-12
+    beta, public_beta = first[2], random_one_form(3, np.random.default_rng(9))
+    assert len(beta.dq_parts) == len(public_beta.dq_parts) == 3
+    assert len(beta.dp_parts) == len(public_beta.dp_parts) == 3
 
 
 def test_random_two_form_traceless_option():

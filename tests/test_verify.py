@@ -1,11 +1,13 @@
 """The sampling runner behind the sampled `check` suites, and the exact
 certificates that the suites take from the pairs (f, M_f)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from volflow import verify
-from volflow.forms import Polynomial
+from volflow import generator, verify
+from volflow.generator import generate
 from volflow.systems import random_two_form
 from volflow.verify import TOLERANCES, _sampled
 
@@ -86,21 +88,25 @@ def test_the_exact_certificates_fail_on_a_wrong_pair(monkeypatch):
 
 
 def test_oracle_sees_a_faulty_polynomial_partial(monkeypatch):
-    """The jet reads the components' exponent rows itself, so a fault in
-    `Polynomial.partial`, which the compiled field is built from, reaches
-    only the component formula, and the oracle suite fails on it."""
+    """The compiled field takes its partials from `generator._lowered`,
+    and the jet reads the components' exponent rows itself, so a fault in
+    that lowering reaches only the component formula, and the oracle suite
+    fails on it."""
     assert verify.check_oracle_equivalence((2, 3), 5, 0).passed
     x = np.array([0.3, -1.2, 0.7, 2.0])
     alpha = random_two_form(2, np.random.default_rng(0))
-    alpha.jet_at(x)
-    assert all(f._partials == {} for *_, f in alpha.components())
-    original = Polynomial.partial
+    jet, X = alpha.jet_at(x), generate(alpha)(x)
+    original = generator._lowered
 
-    def scaled(self, i):
-        g = original(self, i)
-        return Polynomial._normal(g.dim, g._exps, g._coeffs * (1 + 1e-6))
+    def scaled(*args):
+        exps, coeffs, entry = original(*args)
+        return exps, coeffs * (1 + 1e-6), entry
 
-    monkeypatch.setattr(Polynomial, "partial", scaled)
+    monkeypatch.setattr(generator, "_lowered", scaled)
+    assert not np.array_equal(generate(alpha)(x), X)
+    faulty_jet = alpha.jet_at(x)
+    assert all(np.array_equal(getattr(faulty_jet, f.name), getattr(jet, f.name))
+               for f in dataclasses.fields(jet))
     faulty = verify.check_oracle_equivalence((2, 3), 5, 0)
     assert not faulty.passed
     assert faulty.max_residual > 1e-7
