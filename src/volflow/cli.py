@@ -96,7 +96,8 @@ def _read_run(args) -> _Run:
     Each setting is taken once, from its flag, else the config, else its
     default, and checked where it is read: a bad one raises `ConfigError`
     or `ValueError` naming it.  A seed or n in `system.params` wins over
-    the top-level one, and the seed the system takes passes `_seed_fallback`.
+    the top-level one; a system that takes a seed and has none in its
+    params gets the top-level one, checked by `_seed_fallback`.
     """
     config: Dict[str, object] = {}
     if args.config:
@@ -131,8 +132,7 @@ def _read_run(args) -> _Run:
              _output("config.outputs.diagnostics",
                      args.diag or outputs.get("diagnostics", "diagnostics.json")))
     params, accepted = dict(params), _parameters(name)
-    if "seed" in accepted:
-        seed = _integer("seed", params["seed"]) if "seed" in params else seed
+    if "seed" in accepted and "seed" not in params:
         params["seed"] = _seed_fallback(seed, 0)
     if n is not None and "n" in accepted:
         params.setdefault("n", n)
@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
         "symplectic": bool(lie_max <= SYMPLECTIC_THRESHOLD),
         "diagnostic_samples": int(diag.times.size),
     })
-    if diag.energy_samples is not None:
+    if "H" in diag.observable_series:
         diagnostics["energy_drift"] = diag.max_energy_drift()
     if run.system.invariants_expected:
         diagnostics["expected"] = run.system.invariants_expected

@@ -14,9 +14,9 @@ and div X = tr DX and L_X omega = DX^T W + W DX at the samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,15 +50,14 @@ class Trajectory:
     """Sampled states of one or more integrated curves.
 
     `states` has shape (num_samples, ..., 2n) matching the batch shape of
-    the initial condition.  If the integration produced non-finite values,
-    `failed` is True and samples stop at `last_valid_index`.  `dt` records
-    the step that produced it.
+    the initial condition, one row at each of the `times`.  If the
+    integration produced non-finite values, `failed` is True and the rows
+    stop at the last finite sample.  `dt` records the step that produced it.
     """
 
     times: np.ndarray
     states: np.ndarray
     failed: bool = False
-    last_valid_index: Optional[int] = None
     dt: Optional[float] = None
 
     @property
@@ -67,14 +66,63 @@ class Trajectory:
 
     @property
     def final_state(self) -> np.ndarray:
-        idx = self.last_valid_index if self.failed else -1
-        return self.states[idx]
+        return self.states[-1]
 
     def q(self) -> np.ndarray:
         return self.states[..., : self.n]
 
     def p(self) -> np.ndarray:
         return self.states[..., self.n :]
+
+
+@dataclass
+class FlowDiagnostics:
+    """Per-sample health measurements of one integrated flow.
+
+    At each of the sample `times`, at the sampled `states`: `volume_dets`,
+    the flow-Jacobian determinant (a volume-preserving flow keeps it at
+    one, and always positive); `divergence_samples`, div X = tr DX;
+    `lie_omega_samples`, the largest coefficient of L_X omega = DX^T W +
+    W DX (zero iff the field is symplectic); and `observable_series`, each
+    monitored observable by name, "H" being the energy.  `trajectory` is
+    the integrated curve at its own cadence; it is `failed` if the run left
+    the finite domain.  `field_evaluations` counts the field calls that
+    stepped it, four per step; the batched calls that take DX are not
+    counted.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    volume_dets: np.ndarray
+    divergence_samples: np.ndarray
+    lie_omega_samples: np.ndarray
+    observable_series: Dict[str, np.ndarray]
+    trajectory: Trajectory
+    field_evaluations: int
+
+    def max_volume_error(self) -> float:
+        if self.volume_dets.size == 0:
+            return float("nan")
+        return float(np.max(np.abs(self.volume_dets - 1.0)))
+
+    def dets_positive(self) -> bool:
+        return bool(np.all(self.volume_dets > 0.0))
+
+    def max_divergence(self) -> float:
+        if self.divergence_samples.size == 0:
+            return float("nan")
+        return float(np.max(np.abs(self.divergence_samples)))
+
+    def max_energy_drift(self) -> float:
+        energy = self.observable_series.get("H")
+        if energy is None or energy.size == 0:
+            return 0.0
+        return float(np.max(np.abs(energy - energy[0])))
+
+    def max_lie_omega(self) -> float:
+        if self.lie_omega_samples.size == 0:
+            return float("nan")
+        return float(np.max(self.lie_omega_samples))
 
 
 def _rk4_step(field: Callable, x: np.ndarray, dt: float) -> np.ndarray:
@@ -166,8 +214,7 @@ def integrate(field, x0, dt: float, steps: int, sample_every: int = 1) -> Trajec
         return Trajectory(times, states, dt=dt)
     kept = states[:done // sample_every + 1]  # its finite rows come first
     write = np.count_nonzero(np.isfinite(kept.reshape(len(kept), -1)).all(axis=1))
-    return Trajectory(times[:write], states[:write], failed=True,
-                      last_valid_index=write - 1, dt=dt)
+    return Trajectory(times[:write], states[:write], failed=True, dt=dt)
 
 
 def _stepping_x(field, x: np.ndarray) -> Callable:
@@ -237,20 +284,11 @@ def _rk4_block(X, dx, x: np.ndarray, dt: float, steps: int,
     return xs, S, D[::4]
 
 
-class _Pass(NamedTuple):
-    trajectory: Trajectory
-    times: np.ndarray
-    states: np.ndarray
-    dets: np.ndarray
-    divergence: np.ndarray
-    lie_omega: np.ndarray
-    calls: int
-
-
 def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
-              trajectory_every: int) -> _Pass:
+              trajectory_every: int) -> FlowDiagnostics:
     """Integrate one point once with RK4 on `_stepping_x`, in blocks of
-    `_BLOCK` steps through `_rk4_block` (0 steps run one empty block).
+    `_BLOCK` steps through `_rk4_block` (0 steps run one empty block), and
+    return what the pass measured, with no observable series.
 
     Stepping keeps every g-th state, g = gcd(`sample_every`,
     `trajectory_every`), every step's det S, and at each sample state
@@ -259,11 +297,12 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     which took it at its last.  The
     trajectory and the samples are then taken from the kept states, and the
     flow-Jacobian determinants are one `cumprod` of the det S (the chain
-    rule).  `calls` counts the field calls that stepped the path, four per
-    completed step.  The first non-finite state or S ends the pass, marked
-    failed: the trajectory keeps the steps before it, and the block's later
-    steps are dropped, uncounted.  A last state whose DX is not finite also
-    fails the pass, and its sample is dropped.
+    rule).  `field_evaluations` counts the field calls that stepped the
+    path, four per completed step.  The first non-finite state or S ends
+    the pass, marked failed: the trajectory keeps the steps before it, the
+    series keep the samples before it, and the block's later steps are
+    dropped, uncounted.  A last state whose DX is not finite also fails the
+    pass, and its sample is dropped.
     """
     x = _initial_state(field, x0, dt, steps, sample_every, trajectory_every)
     if x.ndim != 1:
@@ -297,11 +336,10 @@ def _one_pass(field, x0, dt: float, steps: int, sample_every: int,
     n_traj = done // trajectory_every + 1
     n_samples = (done if sampled else max(done - 1, 0)) // sample_every + 1
     trajectory = Trajectory(_sample_times(dt, steps, trajectory_every)[:n_traj],
-                            states[:: trajectory_every // g], failed=failed,
-                            last_valid_index=n_traj - 1 if failed else None, dt=dt)
-    return _Pass(trajectory, _sample_times(dt, steps, sample_every)[:n_samples],
-                 states[:: sample_every // g][:n_samples], dets[:n_samples],
-                 np.concatenate(div), np.concatenate(lie), 4 * done)
+                            states[:: trajectory_every // g], failed=failed, dt=dt)
+    return FlowDiagnostics(_sample_times(dt, steps, sample_every)[:n_samples],
+                           states[:: sample_every // g][:n_samples], dets[:n_samples],
+                           np.concatenate(div), np.concatenate(lie), {}, trajectory, 4 * done)
 
 
 def flow_jacobian_dets(field, x0, dt: float, steps: int,
@@ -318,7 +356,7 @@ def flow_jacobian_dets(field, x0, dt: float, steps: int,
     result = _one_pass(field, x0, dt, steps, sample_every, max(steps, 1))
     if result.trajectory.failed:
         raise FloatingPointError("the flow or its Jacobian left the finite domain")
-    return result.times, result.dets
+    return result.times, result.volume_dets
 
 
 def _dx_at(field, x) -> np.ndarray:
@@ -418,61 +456,11 @@ def poisson_trace_residual(f: ScalarField, g: ScalarField, x) -> float:
     return abs(bracket - tr)
 
 
-@dataclass
-class FlowDiagnostics:
-    """Per-sample health measurements of an integrated flow.
-
-    `volume_dets` are flow-Jacobian determinants at the sample times (a
-    volume-preserving flow keeps them at one, and always positive);
-    `divergence_samples` is the field divergence along the trajectory;
-    `energy_samples` tracks the observable named "H" when present;
-    `identity_residuals` holds named residual series, e.g. the max
-    coefficient of the Lie derivative of the symplectic form.
-    `trajectory` is the integrated curve at its own cadence, and
-    `field_evaluations` counts the field calls that stepped it, four per
-    step; the batched calls that take DX are not counted.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    volume_dets: np.ndarray
-    divergence_samples: np.ndarray
-    energy_samples: Optional[np.ndarray]
-    observable_series: Dict[str, np.ndarray]
-    identity_residuals: Dict[str, np.ndarray]
-    failed: bool
-    trajectory: Trajectory
-    field_evaluations: int
-
-    def max_volume_error(self) -> float:
-        if self.volume_dets.size == 0:
-            return float("nan")
-        return float(np.max(np.abs(self.volume_dets - 1.0)))
-
-    def dets_positive(self) -> bool:
-        return bool(np.all(self.volume_dets > 0.0))
-
-    def max_divergence(self) -> float:
-        if self.divergence_samples.size == 0:
-            return float("nan")
-        return float(np.max(np.abs(self.divergence_samples)))
-
-    def max_energy_drift(self) -> float:
-        if self.energy_samples is None or self.energy_samples.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.energy_samples - self.energy_samples[0])))
-
-    def max_lie_omega(self) -> float:
-        series = self.identity_residuals.get("lie_omega_max_abs")
-        if series is None or series.size == 0:
-            return float("nan")
-        return float(np.max(series))
-
-
 def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
             observables: Optional[Dict[str, ScalarField]] = None,
             trajectory_every: Optional[int] = None) -> FlowDiagnostics:
-    """Integrate once and collect volume, divergence, observable, and identity series.
+    """Integrate once and collect the volume, divergence, L_X omega and
+    observable series.
 
     The trajectory is recorded every `trajectory_every` steps (default:
     `sample_every`) and the diagnostics every `sample_every` steps, both
@@ -480,21 +468,15 @@ def monitor(field, x0, dt: float, steps: int, sample_every: int = 100,
     L_X omega = DX^T W + W DX all come from the DX that `_one_pass`'s
     blocks take for the step Jacobians, none after stepping: exact for a
     field with an exact tangent, by central differences of X otherwise.
-    The observable named "H" doubles as the energy series.  The identity
-    series "lie_omega_max_abs" records the largest coefficient of L_X omega
-    at each sample; it stays at zero iff the field is symplectic.  A run
-    that leaves the finite domain returns failed=True, its trajectory cut
-    at the last finite sample, and empty diagnostic series.
+    A run that leaves the finite domain returns its trajectory failed, cut
+    at the last finite sample, with empty diagnostic and observable series.
     """
     every = sample_every if trajectory_every is None else trajectory_every
     run = _one_pass(field, x0, dt, steps, sample_every, every)
     if run.trajectory.failed:
         empty = np.zeros(0)
-        return FlowDiagnostics(run.times, run.states, empty, empty, None, {}, {},
-                               True, run.trajectory, run.calls)
-    observables = observables or {}
-    series = {name: np.asarray(f.value(run.states), dtype=float)
-              for name, f in observables.items()}
-    return FlowDiagnostics(run.times, run.states, run.dets, run.divergence,
-                           series.get("H"), series, {"lie_omega_max_abs": run.lie_omega},
-                           False, run.trajectory, run.calls)
+        return replace(run, volume_dets=empty, divergence_samples=empty,
+                       lie_omega_samples=empty)
+    return replace(run, observable_series={
+        name: np.asarray(f.value(run.states), dtype=float)
+        for name, f in (observables or {}).items()})

@@ -50,6 +50,9 @@ __all__ = [
 # Coefficient-wise equality tolerance for forms.
 COEFF_TOL = 1e-12
 
+# The largest |T_ij + T_ji| a jet's antisymmetric components may show.
+_JET_SKEW_TOL = 1e-9
+
 Index = Tuple[int, ...]
 
 
@@ -355,7 +358,7 @@ class PointwiseJet:
     dP_dq: np.ndarray
     dP_dp: np.ndarray
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         n = self.n
         if n < 2:
             raise ValueError("jets require n >= 2")
@@ -368,7 +371,7 @@ class PointwiseJet:
         for name in ("Q", "P", "dQ_dq", "dQ_dp", "dP_dq", "dP_dp"):
             arr = getattr(self, name)
             skew = arr + np.swapaxes(arr, 0, 1)
-            if np.max(np.abs(skew)) > tol:
+            if np.max(np.abs(skew)) > _JET_SKEW_TOL:
                 raise ValueError(f"{name} violates antisymmetry in its component indices")
 
 
@@ -567,8 +570,9 @@ def verify_lemma2(n: int, k: int, trials: int, rng=None) -> Lemma2Report:
     )
 
 
-def verify_wedge_identities(n: int, tol: float = 1e-12) -> WedgeIdentityReport:
-    """Coefficient-wise check of the two contraction identities, all (i, j, k).
+def verify_wedge_identities(n: int) -> WedgeIdentityReport:
+    """Coefficient-wise check of the two contraction identities, all (i, j, k),
+    to `COEFF_TOL`.
 
     (n-1) dp_i^dp_j^dq^k^omega^{n-2} = delta^k_j dp_i^omega^{n-1}
                                        - delta^k_i dp_j^omega^{n-1}
@@ -598,4 +602,4 @@ def verify_wedge_identities(n: int, tol: float = 1e-12) -> WedgeIdentityReport:
                 if k == i:
                     rhs2 = rhs2 - wedge(dq_form(n, j), w_nm1).scaled(1.0 / (n - 1))
                 max_res = max(max_res, (lhs2 - rhs2).max_abs())
-    return WedgeIdentityReport(n, float(max_res), bool(max_res <= tol))
+    return WedgeIdentityReport(n, float(max_res), bool(max_res <= COEFF_TOL))

@@ -358,45 +358,23 @@ def decompose(alpha: TwoFormField) -> Tuple[GeneratedField, GeneratedField]:
 
 
 class FengShangTensor:
-    """An antisymmetric tensor field a^{ij}(x) on R^{2n} producing the
-    divergence field X^i = da^{ij}/dx^j.
-
-    Stored as a callable returning the (..., 2n, 2n) tensor values plus a
-    callable returning the (..., 2n, 2n, 2n) partials d a^{ij}/dx^k.
-    """
-
-    def __init__(self, n: int, tensor_fn: Callable, partial_fn: Callable):
-        self.n = int(n)
-        self.tensor_fn = tensor_fn
-        self.partial_fn = partial_fn
-
-    def tensor(self, x) -> np.ndarray:
-        pts = as_points(x, 2 * self.n)
-        return np.asarray(self.tensor_fn(pts), dtype=float)
-
-    def partials(self, x) -> np.ndarray:
-        pts = as_points(x, 2 * self.n)
-        return np.asarray(self.partial_fn(pts), dtype=float)
-
-    def check_antisymmetry(self, x) -> float:
-        t = self.tensor(x)
-        return float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
-
-
-def feng_shang_from_alpha(alpha: TwoFormField) -> FengShangTensor:
-    """Pack alpha's components into the block tensor [[P, -A], [A^T, Q]].
+    """The antisymmetric tensor field a^{ij}(x) = [[P, -A], [A^T, Q]] of a
+    2-form alpha on R^{2n}, producing the divergence field X^i = da^{ij}/dx^j.
 
     Blocks are indexed so that a^{ij} pairs with coordinates ordered
     (q, p): the qq block is P, the qp block is -A, the pq block is A^T,
-    and the pp block is Q.  The resulting divergence field agrees with
-    generate(alpha) exactly when the trace terms d(trA)/dq and d(trA)/dp
-    vanish, and differs otherwise.
+    and the pp block is Q.  Each call builds the (..., 2n, 2n, 1 + 2n)
+    block array from alpha's jet once: the tensor values, then the 2n
+    partials d a^{ij}/dx^k on the last axis.
     """
-    n = alpha.n
 
-    def blocks(pts):
-        """The tensor with its value and 2n partials on a last axis of 1 + 2n."""
-        jet = alpha.jet_at(pts)
+    def __init__(self, alpha: TwoFormField):
+        self.n = alpha.n
+        self.alpha = alpha
+
+    def _blocks(self, x) -> np.ndarray:
+        n, pts = self.n, as_points(x, 2 * self.n)
+        jet = self.alpha.jet_at(pts)
         Q, A, P = (np.concatenate([getattr(jet, k)[..., None], getattr(jet, f"d{k}_dq"),
                                    getattr(jet, f"d{k}_dp")], axis=-1) for k in "QAP")
         out = np.zeros(pts.shape[:-1] + (2 * n, 2 * n, 1 + 2 * n))
@@ -406,13 +384,24 @@ def feng_shang_from_alpha(alpha: TwoFormField) -> FengShangTensor:
         out[..., n:, n:, :] = Q
         return out
 
-    def tensor_fn(pts):
-        return blocks(pts)[..., 0]
+    def tensor(self, x) -> np.ndarray:
+        return self._blocks(x)[..., 0]
 
-    def partial_fn(pts):
-        return blocks(pts)[..., 1:]
+    def partials(self, x) -> np.ndarray:
+        return self._blocks(x)[..., 1:]
 
-    return FengShangTensor(n, tensor_fn, partial_fn)
+    def check_antisymmetry(self, x) -> float:
+        t = self.tensor(x)
+        return float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
+
+
+def feng_shang_from_alpha(alpha: TwoFormField) -> FengShangTensor:
+    """Pack alpha's components into the block tensor [[P, -A], [A^T, Q]].
+
+    The resulting divergence field agrees with generate(alpha) exactly when
+    the trace terms d(trA)/dq and d(trA)/dp vanish, and differs otherwise.
+    """
+    return FengShangTensor(alpha)
 
 
 def feng_shang_field(tensor: FengShangTensor) -> GeneratedField:

@@ -168,25 +168,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-_KINDS = ("a {}number", "a list of {}numbers",
-          "a matrix of {}numbers (a list of equal-length lists)")
+_KINDS = ("a finite number", "a list of finite numbers",
+          "a matrix of finite numbers (a list of equal-length lists)")
 
 
-def _reals(name: str, value, ndim: int = 0, finite: bool = True):
+def _reals(name: str, value, ndim: int = 0):
     """value, JSON numbers nested `ndim` deep (a number, a list or a list of
-    equal-length lists), as a float or float array; a bool, a string or a
-    ragged list, or with `finite` a number that is not finite as a float,
-    raises `ValueError` naming `name`."""
+    equal-length lists), as a float or float array; a bool, a string, a
+    ragged list or a number that is not finite as a float raises
+    `ValueError` naming `name`."""
     entries = np.array(value, dtype=object)
     if entries.ndim == ndim and all(map(_is_number, entries.flat)):
         try:
             out = entries.astype(float)
         except OverflowError:  # an int beyond the floats
             out = np.full(entries.shape, np.inf)
-        if not finite or np.isfinite(out).all():
+        if np.isfinite(out).all():
             return float(out) if ndim == 0 else out
-    kind = _KINDS[ndim].format("finite " if finite else "")
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
+    raise ValueError(f"{name} must be {_KINDS[ndim]}, got {value!r}")
 
 
 # The largest n whose 2n coordinates numpy can index.
@@ -226,6 +225,15 @@ def linear_system(k, name: str = "linear") -> SystemInstance:
     )
 
 
+def _frequencies(name: str, w, n: int) -> np.ndarray:
+    """w as n frequencies, each positive and with a finite square; anything
+    else raises `ValueError` naming `name`."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,) or not np.all((w > 0) & (w < 1e154)):  # w ** 2 stays finite
+        raise ValueError(f"{name} must be n positive reals below 1e154")
+    return w
+
+
 def harmonic_oscillator(n: int = 2, omega_freqs=None) -> SystemInstance:
     """n uncoupled oscillators, H = sum (p_i^2 + w_i^2 q_i^2)/2.
 
@@ -235,11 +243,7 @@ def harmonic_oscillator(n: int = 2, omega_freqs=None) -> SystemInstance:
     """
     if n < 1:
         raise ValueError("harmonic oscillators need n >= 1")
-    if omega_freqs is None:
-        omega_freqs = np.ones(n)
-    w = np.asarray(omega_freqs, dtype=float)
-    if w.shape != (n,) or not np.all((w > 0) & (w < 1e154)):  # w ** 2 stays finite
-        raise ValueError("omega_freqs must be n positive reals below 1e154")
+    w = np.ones(n) if omega_freqs is None else _frequencies("omega_freqs", omega_freqs, n)
     inst = linear_system(np.diag(w ** 2), name="harmonic")
 
     def analytic(t, x0):
@@ -440,9 +444,10 @@ def _n(n) -> int:
 
 
 def _build_harmonic(n=2, omega_freqs=None):
+    key, n = "system.params.omega_freqs", _n(n)
     if omega_freqs is not None:
-        omega_freqs = _reals("system.params.omega_freqs", omega_freqs, 1)
-    return harmonic_oscillator(_n(n), omega_freqs)
+        omega_freqs = _frequencies(key, _reals(key, omega_freqs, 1), n)
+    return harmonic_oscillator(n, omega_freqs)
 
 
 def _build_coupled():
@@ -452,8 +457,7 @@ def _build_coupled():
 def _build_linear(k=None):
     if k is None:
         raise ValueError("linear system requires params.k (a square matrix)")
-    # LinearSystemSpec refuses a k that is not finite, naming k
-    return linear_system(_reals("system.params.k", k, 2, finite=False))
+    return linear_system(_reals("system.params.k", k, 2))
 
 
 def _build_drift(n=2, coupling=0.25, a=None, q0=None):

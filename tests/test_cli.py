@@ -160,12 +160,14 @@ def test_simulate_a_huge_coefficient_scale_fails_without_a_warning(tmp_path, cap
     # 0.5 * k + 0.5 * k.T stays finite: the run leaves the finite domain
     ({"name": "linear", "params": {"k": [[1e308, 0.0], [0.0, 1.0]]}}, None),
     ({"name": "linear", "params": {"k": [[float("inf"), 0.0], [0.0, 1.0]]}},
-     "error: k must be finite (NaN and Infinity are not allowed)"),
+     "error: system.params.k must be a matrix of finite numbers (a list of equal-length "
+     "lists), got [[inf, 0.0], [0.0, 1.0]]"),
     ({"name": "linear", "params": {"k": [[1.0, float("nan")], [0.0, 1.0]]}},
-     "error: k must be finite (NaN and Infinity are not allowed)"),
+     "error: system.params.k must be a matrix of finite numbers (a list of equal-length "
+     "lists), got [[1.0, nan], [0.0, 1.0]]"),
     ({"name": "harmonic", "params": {"omega_freqs": [1e200, 1.0]}},
-     "error: omega_freqs must be n positive reals below 1e154"),
-])
+     "error: system.params.omega_freqs must be n positive reals below 1e154"),
+], ids=["linear-huge-k", "linear-inf-k", "linear-nan-k", "harmonic-huge-omega"])
 def test_simulate_a_huge_linear_coefficient_exits_without_a_warning(tmp_path, capsys,
                                                                     system, err):
     csv = tmp_path / "big.csv"
@@ -204,9 +206,11 @@ def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, command
             "simulate": ["simulate", "--config", cfg]}[command]
     assert main(argv) == 2
     out = capsys.readouterr()
-    name, seed = ("VOLFLOW_SEED", -3) if source == "env" else ("seed", -1)
+    want = {"env": "VOLFLOW_SEED must be a non-negative integer, got -3",
+            "flag": "seed must be a non-negative integer, got -1",
+            "params": "system.params.seed must be an integer >= 0, got -1"}[source]
     assert out.out == ""
-    assert out.err == f"error: {name} must be a non-negative integer, got {seed}\n"
+    assert out.err == f"error: {want}\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["seed.json"]
 
 
@@ -378,7 +382,11 @@ BAD_PARAMETERS = [
     ("linear", "k", [["x", 0.0], [0.0, 1.0]]), ("linear", "k", [[1.0, 0.0], [1.0]]),
     ("harmonic", "omega_freqs", ["x", 1.0]), ("harmonic", "omega_freqs", 2.0),
 ] + [(name, "n", n) for name in ("harmonic", "drift", "random-alpha", "zero")
-     for n in (2 ** 64, 10 ** 400)]
+     for n in (2 ** 64, 10 ** 400)] + [
+    ("random-alpha", "seed", 2.5), ("random-alpha", "seed", -1),
+    ("linear", "k", [[float("inf"), 0.0], [0.0, 1.0]]),
+    ("harmonic", "omega_freqs", [1e200, 1.0]), ("harmonic", "omega_freqs", [1.0]),
+]
 
 
 @pytest.mark.parametrize("system, key, value", BAD_PARAMETERS,

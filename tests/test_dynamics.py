@@ -105,7 +105,7 @@ def test_integrate_truncates_on_blowup():
     assert traj.failed
     assert traj.states.shape[0] < 101
     assert np.all(np.isfinite(traj.states))
-    assert traj.last_valid_index == traj.states.shape[0] - 1
+    assert np.array_equal(traj.final_state, traj.states[-1])  # the last finite sample
     assert np.all(np.diff(traj.times) > 0)
 
 
@@ -124,8 +124,8 @@ def test_a_wide_batch_steps_in_slices_as_one_batch(monkeypatch):
     whole, whole_cut = [integrate(sys_.field, x, dt, steps) for x in (good, bad)]
 
     assert not sliced.failed and np.array_equal(sliced.states, whole.states)
-    assert alone.failed and alone.last_valid_index == 4  # cut at step 5
-    assert cut.failed and cut.last_valid_index == alone.last_valid_index
+    assert alone.failed and len(alone.states) == 5  # cut at step 5
+    assert cut.failed and len(cut.states) == len(alone.states)
     assert np.array_equal(cut.times, alone.times)
     assert np.array_equal(cut.states, whole_cut.states)
     assert np.array_equal(cut.states[:, :last], sliced.states[:5, :last])
@@ -184,16 +184,16 @@ def test_one_failure_rule_across_blocks_and_cadences():
         calls = []
         integrate(lambda y: calls.append(y) or X(y), x0, dt, 10_000)
     assert len(calls) == 4 * 2 * _BLOCK  # stepping ends with the block that failed
-    assert every.failed and every.last_valid_index == 68
+    assert every.failed and len(every.states) == 69
     assert np.isfinite(every.states).all()
     for k, last in zip((5, 7, 64, 200), (13, 9, 1, 0)):
-        assert cut[k].failed and cut[k].last_valid_index == last
+        assert cut[k].failed and len(cut[k].states) == last + 1
         assert np.array_equal(cut[k].states, every.states[::k])
         assert np.array_equal(cut[k].times, every.times[::k])
-    assert diag.failed and diag.trajectory.last_valid_index == 68
+    assert diag.trajectory.failed and len(diag.trajectory.states) == 69
     assert diag.field_evaluations == 272
     assert np.array_equal(diag.trajectory.states, every.states)
-    assert wide.failed and wide.last_valid_index == 13
+    assert wide.failed and len(wide.states) == 14
     assert not fine.failed
     assert np.array_equal(wide.states[:, :bad], fine.states[:14, :bad])
     assert np.allclose(wide.states[:, bad], cut[5].states, rtol=1e-12, atol=0.0)
@@ -289,7 +289,7 @@ def test_tangent_step_is_rk4_of_the_variational_equation(n):
         assert np.array_equal(run.states, [x, xs[0]])
         jacs = X.tangent(run.states)[1]
         assert np.max(np.abs(DX - jacs)) <= 1e-15 * (1.0 + np.abs(jacs).max())
-        assert np.array_equal(run.divergence, np.trace(DX, axis1=1, axis2=2))
+        assert np.array_equal(run.divergence_samples, np.trace(DX, axis1=1, axis2=2))
 
 
 def test_flow_dets_across_block_boundaries():
@@ -324,7 +324,7 @@ def test_a_pass_takes_dx_once_at_each_point(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_dx_source", counting)
     run = _one_pass(sys.field, sys.default_x0, 1e-2, steps, 1, 1)
-    assert not run.trajectory.failed and run.calls == 4 * steps
+    assert not run.trajectory.failed and run.field_evaluations == 4 * steps
     assert points == [4 * _BLOCK + 1, 4 * _BLOCK, 4 * _BLOCK, 4 * 5]
 
 
@@ -353,10 +353,11 @@ def test_one_pass_rows_do_not_depend_on_the_cadences(case):
         assert np.array_equal(traj.times, every.times[::trajectory_every])
         assert np.array_equal(traj.states, every.states[::trajectory_every])
         for got, want in [(run.times, full.times), (run.states, full.states),
-                          (run.dets, full.dets), (run.divergence, full.divergence),
-                          (run.lie_omega, full.lie_omega)]:
+                          (run.volume_dets, full.volume_dets),
+                          (run.divergence_samples, full.divergence_samples),
+                          (run.lie_omega_samples, full.lie_omega_samples)]:
             assert np.array_equal(got, want[::sample_every])
-        assert run.calls == 4 * steps
+        assert run.field_evaluations == 4 * steps
 
 
 def test_flow_dets_exact_for_coupled_system():
@@ -531,7 +532,7 @@ def test_check_dotf_hamiltonian_case_is_poisson():
 
 def test_monitor_zero_field():
     diag = monitor(_zero_field(), np.ones(4), dt=0.1, steps=20, sample_every=5)
-    assert not diag.failed
+    assert not diag.trajectory.failed
     # dets come from finite differences, so only ~1e-10 even for a frozen flow
     assert diag.max_volume_error() < 1e-9
     assert diag.dets_positive()
@@ -549,7 +550,7 @@ def test_monitor_energy_and_observables():
     assert diag.observable_series["H"].shape == diag.times.shape
     assert diag.max_energy_drift() < 1e-10
     assert diag.max_lie_omega() < 1e-5
-    assert "lie_omega_max_abs" in diag.identity_residuals
+    assert diag.lie_omega_samples.shape == diag.times.shape
 
 
 def test_monitor_coupled_energy_not_conserved():
@@ -568,7 +569,7 @@ def test_monitor_failed_run():
         return np.stack([np.zeros(pts.shape[:-1]), pts[..., 1] ** 2], axis=-1)
     field = GeneratedField(1, eval_fn, kind="test")
     diag = monitor(field, np.array([0.0, 1.0]), dt=0.5, steps=100, sample_every=10)
-    assert diag.failed
+    assert diag.trajectory.failed
 
 
 def test_monitor_reports_bundle_overflow():
@@ -580,9 +581,8 @@ def test_monitor_reports_bundle_overflow():
     x0 = np.zeros(2)
     assert not integrate(field, x0, dt=0.1, steps=10).failed
     diag = monitor(field, x0, dt=0.1, steps=10, sample_every=5)
-    assert diag.failed
     assert diag.trajectory.failed
-    assert diag.trajectory.last_valid_index == 0
+    assert len(diag.trajectory.states) == 1
     assert np.array_equal(diag.trajectory.states, x0[None, :])
     assert np.array_equal(diag.trajectory.times, [0.0])
 
@@ -599,8 +599,8 @@ def test_monitor_cuts_where_a_raising_field_raises():
     x0 = np.zeros(2)
     traj = integrate(field, x0, dt=0.1, steps=20)
     diag = monitor(field, x0, dt=0.1, steps=20, sample_every=2, trajectory_every=1)
-    assert diag.failed and traj.failed
-    assert diag.trajectory.last_valid_index == traj.last_valid_index == 4
+    assert diag.trajectory.failed and traj.failed
+    assert len(diag.trajectory.states) == len(traj.states) == 5
     assert np.array_equal(diag.trajectory.states, traj.states)
     assert np.array_equal(diag.states, traj.states[::2])
     assert diag.field_evaluations == 4 * 4
@@ -619,9 +619,9 @@ def test_monitor_overflowing_jacobian_at_x0():
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     assert np.isfinite(X(x0)).all()  # pdot_2 = 2e307
     diag = monitor(X, x0, 1e-3, 50, sample_every=10, trajectory_every=5)
-    assert diag.failed and diag.trajectory.failed
+    assert diag.trajectory.failed
     assert len(diag.trajectory.states) == 1 and len(diag.states) == 1
-    assert diag.trajectory.last_valid_index == 0
+    assert np.array_equal(diag.trajectory.final_state, x0)
     with pytest.raises(FloatingPointError):
         flow_jacobian_dets(X, x0, 1e-3, 50, sample_every=10)
 
@@ -633,7 +633,7 @@ def test_monitor_takes_central_differences_when_a_tangent_coefficient_overflows(
     assert not X.exact_tangent
     steps = 100
     diag = monitor(X, np.array([0.85, 0.0, 0.0, 0.0]), 1e-3, steps, sample_every=10)
-    assert not diag.failed
+    assert not diag.trajectory.failed
     assert diag.field_evaluations == 4 * steps
     assert diag.max_volume_error() == 0.0
 
@@ -643,7 +643,7 @@ def test_monitor_overflowing_jacobian_after_first_block():
     X = _overflowing_dx_field(1e300, moving=True)
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
     diag = monitor(X, x0, 1e-2, 200, sample_every=10, trajectory_every=5)
-    assert diag.failed
+    assert diag.trajectory.failed
     assert (len(diag.trajectory.states), len(diag.states)) == (18, 9)
     assert diag.trajectory.times[-1] == pytest.approx(0.85)
     every = monitor(X, x0, 1e-2, 200, sample_every=1, trajectory_every=1)
@@ -662,7 +662,7 @@ def test_monitor_drops_a_sample_whose_jacobian_overflows():
     X = hamiltonian_field(H, 3)
     x0 = np.array([-9.4, 0.0, 0.0, 0.0, 1.0, 0.0])
     every = monitor(X, x0, 0.5, 200, sample_every=1, trajectory_every=1)
-    assert every.failed
+    assert every.trajectory.failed
     assert (len(every.trajectory.states), len(every.states)) == (81, 80)
     diag = monitor(X, x0, 0.5, 200, sample_every=10, trajectory_every=5)
     assert (len(diag.trajectory.states), len(diag.states)) == (17, 8)
@@ -682,11 +682,11 @@ def test_a_polynomial_state_that_overflows_mid_block():
         traj = integrate(X, x0, dt, steps)
         with pytest.raises(FloatingPointError):
             flow_jacobian_dets(X, x0, dt, steps)
-    assert diag.failed and diag.trajectory.failed
-    assert diag.trajectory.last_valid_index == 35
+    assert diag.trajectory.failed
+    assert len(diag.trajectory.states) == 36
     assert diag.field_evaluations == 4 * 35
     assert len(diag.states) == len(diag.times) == 8
-    assert traj.failed and traj.last_valid_index == 35
+    assert traj.failed and len(traj.states) == 36
     assert np.array_equal(diag.trajectory.states, traj.states)
     assert np.isfinite(traj.states).all()
 
@@ -734,7 +734,7 @@ def test_monitor_trajectory_is_integrate(sys):
     diag = monitor(sys.field, x0, dt=1e-3, steps=1000, sample_every=250,
                    trajectory_every=10)
     traj = integrate(sys.field, x0, dt=1e-3, steps=1000, sample_every=10)
-    assert not diag.failed and not diag.trajectory.failed
+    assert not diag.trajectory.failed
     assert np.array_equal(diag.trajectory.times, traj.times)
     assert np.array_equal(diag.trajectory.states, traj.states)
     assert np.array_equal(diag.states, diag.trajectory.states[::25])
@@ -760,7 +760,7 @@ def test_monitor_exact_lie_and_divergence_for_coupled_system():
     sys = coupled_oscillators()
     diag = monitor(sys.field, sys.default_x0, dt=1e-3, steps=2000, sample_every=500)
     assert np.all(diag.divergence_samples == 0.0)
-    assert np.max(np.abs(diag.identity_residuals["lie_omega_max_abs"] - 0.5)) <= 1e-12
+    assert np.max(np.abs(diag.lie_omega_samples - 0.5)) <= 1e-12
     assert diag.max_volume_error() <= 1e-12
 
 
@@ -771,13 +771,13 @@ def test_monitor_diagnostics_are_the_tangent_at_the_samples(build, steps):
     # state), so each series equals the exact tangent taken in one batch
     sys = build()
     diag = monitor(sys.field, sys.default_x0, dt=1e-2, steps=steps, sample_every=1)
-    assert not diag.failed and len(diag.states) == steps + 1
+    assert not diag.trajectory.failed and len(diag.states) == steps + 1
     jacs = sys.field.tangent(diag.states)[1]
     n = sys.field.n
     W = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     lie = np.abs(np.swapaxes(jacs, 1, 2) @ W + W @ jacs).max(axis=(1, 2))
     assert np.array_equal(diag.divergence_samples, np.trace(jacs, axis1=1, axis2=2))
-    assert np.array_equal(diag.identity_residuals["lie_omega_max_abs"], lie)
+    assert np.array_equal(diag.lie_omega_samples, lie)
 
 
 def test_pointwise_diagnostics_are_nan_where_the_exact_dx_is_not():
@@ -805,8 +805,8 @@ def test_monitor_same_linear_flow_on_both_dx_sources():
     assert np.array_equal(runs[0].trajectory.states, runs[1].trajectory.states)
     assert np.array_equal(runs[0].states, runs[1].states)
     assert np.max(np.abs(runs[0].volume_dets - runs[1].volume_dets)) <= 1e-12
-    lie = [run.identity_residuals["lie_omega_max_abs"] for run in runs]
+    lie = [run.lie_omega_samples for run in runs]
     assert np.max(np.abs(lie[0] - lie[1])) <= 1e-10
     for run in runs:
-        assert not run.failed
+        assert not run.trajectory.failed
         assert run.field_evaluations == 4 * steps

@@ -1,7 +1,9 @@
 """Exterior-algebra core: cross-checked against the dense tensor reference."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +408,29 @@ def test_wedge_identity_report():
         assert rep.max_residual < 1e-12
     with pytest.raises(ValueError):
         verify_wedge_identities(1)
+
+
+def _volflow_imports(path):
+    """(module, names) of each import of a volflow module in the file at
+    path, relative imports included; names is None for a plain `import`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append(("." * node.level + (node.module or ""),
+                          [alias.name for alias in node.names]))
+    return [(module, names) for module, names in found
+            if module.startswith(".") or module.split(".")[0] == "volflow"]
+
+
+def test_the_oracle_shares_no_code_with_the_field():
+    # the oracle checks the field formulas only while it shares no code with
+    # them: exterior.py imports nothing from volflow, and the dense
+    # reference only the KForm it converts to and from
+    root = Path(__file__).resolve().parents[1]
+    assert _volflow_imports(root / "src" / "volflow" / "exterior.py") == []
+    assert _volflow_imports(root / "tests" / "reference.py") == [("volflow", ["KForm"])]
 
 
 # ------------------------------------------------------------------ properties

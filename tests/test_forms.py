@@ -16,6 +16,7 @@ from volflow import (
     TwoFormField,
     d_at_point,
     gauge_shift,
+    generate,
     hamiltonian_two_form,
     poly_variables,
     trace_field,
@@ -527,6 +528,34 @@ def test_gauge_shift_is_closed():
         da = d_at_point(alpha.jet_at(x))
         ds = d_at_point(shifted.jet_at(x))
         assert (da - ds).max_abs() < 1e-10
+
+
+def test_a_gauge_shift_by_a_non_polynomial_component_keeps_the_field():
+    # b_1 = sin(q2) p1 is a ScalarField with an exact gradient: the shift
+    # takes its partials through ScalarField.partial, exact in value, and
+    # the generated field differentiates those by central differences, step
+    # h = FD_STEP (1 + |x|), which err by about h^2 |f'''| / 6 + eps |f| / h
+    q, p = poly_variables(2)
+
+    def grad(x):
+        zero = np.zeros(x.shape[:-1])
+        return np.stack([zero, np.cos(x[..., 1]) * x[..., 2], np.sin(x[..., 1]), zero],
+                        axis=-1)
+
+    b1 = ScalarField(lambda x: np.sin(x[..., 1]) * x[..., 2], grad)
+    beta = OneFormField.from_components(2, dq={0: b1, 1: q[0] * p[1]})
+    added = gauge_shift(TwoFormField(2), beta)
+    x = np.array([0.3, -0.7, 1.1, 0.4])
+    # A^1_1 += db_1/dp_1 and Q_12 += db_2/dq^1 - db_1/dq^2
+    assert not isinstance(added.A_entry(0, 0), Polynomial)
+    assert added.A_entry(0, 0).value(x) == pytest.approx(np.sin(x[1]), abs=1e-15)
+    assert _component(added, "Q", 0, 1).value(x) == pytest.approx(
+        x[3] - np.cos(x[1]) * x[2], abs=1e-15)
+
+    alpha = _poly_alpha()
+    pts = np.random.default_rng(29).uniform(-1.0, 1.0, size=(16, 4))
+    moved = generate(gauge_shift(alpha, beta))(pts) - generate(alpha)(pts)
+    assert np.max(np.abs(moved)) <= 1e-8  # about 1e-10 at h <= 2e-5, with a margin
 
 
 def test_one_form_component_validation():
