@@ -43,11 +43,10 @@ from .forms import (
     traceless_part,
 )
 from .generator import (
-    FengShangTensor,
     GeneratedField,
     decompose,
     feng_shang_field,
-    feng_shang_from_alpha,
+    feng_shang_tensor,
     generate,
     hamiltonian_field,
 )

@@ -294,10 +294,10 @@ def cmd_oracle(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             direct = generate(alpha)(point)
+            solved, _ = _oracle_solve(alpha, point)
     except FieldEvaluationError as exc:
         print(f"error: {exc} at --point {args.point}", file=sys.stderr)
         return FAILURE
-    solved, _ = _oracle_solve(alpha, point)
     residual = np.abs(direct - solved)
     print(f"alpha = {args.alpha}, n = {n}, point = {_format_row(point)}")
     print(f"{'component':>10s} {'formula':>24s} {'oracle solve':>24s} {'residual':>12s}")

@@ -50,7 +50,7 @@ __all__ = [
 # Coefficient-wise equality tolerance for forms.
 COEFF_TOL = 1e-12
 
-# The largest |T_ij + T_ji| a jet's antisymmetric components may show.
+# The largest |T_ij + T_ji| antisymmetric components may show (a jet's, or Q, P).
 _JET_SKEW_TOL = 1e-9
 
 Index = Tuple[int, ...]
@@ -415,7 +415,7 @@ def two_form_from_components(Q: np.ndarray, A: np.ndarray, P: np.ndarray) -> KFo
     if Q.shape != (n, n) or A.shape != (n, n) or P.shape != (n, n):
         raise ValueError("component matrices must all be (n, n)")
     for name, arr in (("Q", Q), ("P", P)):
-        if np.max(np.abs(arr + arr.T)) > 1e-9:
+        if np.max(np.abs(arr + arr.T)) > _JET_SKEW_TOL:
             raise ValueError(f"{name} must be antisymmetric")
     out: Dict[Index, float] = {}
     for i in range(n):

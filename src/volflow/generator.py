@@ -36,8 +36,7 @@ __all__ = [
     "generate",
     "hamiltonian_field",
     "decompose",
-    "FengShangTensor",
-    "feng_shang_from_alpha",
+    "feng_shang_tensor",
     "feng_shang_field",
 ]
 
@@ -63,7 +62,7 @@ class GeneratedField:
             raise ValueError(
                 f"field evaluation returned shape {out.shape}, expected {pts.shape}"
             )
-        return _check_finite(out, self._names)
+        return _check_finite(out, self._names, self._eval_fn, pts)
 
     @property
     def exact_tangent(self) -> bool:
@@ -86,7 +85,7 @@ class GeneratedField:
         monomial table."""
         pts = as_points(x, 2 * self.n)
         tangent_map, dim = self.tangent_map(), 2 * self.n
-        out = _check_finite(tangent_map(pts), tangent_map.names)
+        out = _check_finite(tangent_map(pts), tangent_map.names, tangent_map, pts)
         return out[..., :dim], out[..., dim:].reshape(pts.shape[:-1] + (dim, dim))
 
 
@@ -106,10 +105,16 @@ def _names(n: int, dot: str = "dot"):
     return [f"q{dot}{i + 1}" for i in range(n)] + [f"p{dot}{i + 1}" for i in range(n)]
 
 
-def _check_finite(out: np.ndarray, names) -> np.ndarray:
-    """out, or a `FieldEvaluationError` naming its first non-finite column."""
+def _check_finite(out: np.ndarray, names, fn=None, pts=None) -> np.ndarray:
+    """out, or a `FieldEvaluationError` naming its first non-finite column:
+    when out is the `_MonomialMap` fn at pts, the first whose own terms are
+    not finite (`own_sums`), as inf * 0 in m(pts) @ C is NaN in every column."""
     if not np.isfinite(out).all():
-        raise FieldEvaluationError(names[np.argwhere(~np.isfinite(out))[0, -1]])
+        bad = ~np.isfinite(out)
+        if isinstance(fn, _MonomialMap):
+            own = ~np.isfinite(fn.own_sums(pts))
+            bad = own if own.any() else bad
+        raise FieldEvaluationError(names[np.argwhere(bad)[0, -1]])
     return out
 
 
@@ -325,7 +330,19 @@ class _MonomialMap:
 
         return at_point
 
+    def own_sums(self, pts: np.ndarray) -> np.ndarray:
+        """m(pts) @ C, each column summed over its own terms only (those of
+        nonzero coefficient), so a non-finite monomial reaches only its own
+        columns; silent, as the call that failed has warned already."""
+        with np.errstate(all="ignore"):
+            monos = self._monomials(pts)
+            return np.stack([monos[c != 0].T @ c[c != 0] for c in self.C.T], axis=-1)
+
     def _table_product(self, pts: np.ndarray) -> np.ndarray:
+        return self._monomials(pts).T @ self.C
+
+    def _monomials(self, pts: np.ndarray) -> np.ndarray:
+        """m(pts), the basis on the first axis: (m,) + pts.T.shape[1:]."""
         x = pts.T
         table = np.empty((self._rows,) + x.shape[1:])
         table[:x.shape[0]] = 1.0
@@ -334,7 +351,7 @@ class _MonomialMap:
         monos = table[self._first]
         for rows in self._rest:
             monos *= table[rows]
-        return monos.T @ self.C
+        return monos
 
 
 def hamiltonian_field(H: ScalarField, n: int) -> GeneratedField:
@@ -357,58 +374,37 @@ def decompose(alpha: TwoFormField) -> Tuple[GeneratedField, GeneratedField]:
     return hamiltonian_field(H, alpha.n), generate(traceless_part(alpha))
 
 
-class FengShangTensor:
-    """The antisymmetric tensor field a^{ij}(x) = [[P, -A], [A^T, Q]] of a
-    2-form alpha on R^{2n}, producing the divergence field X^i = da^{ij}/dx^j.
+def feng_shang_tensor(alpha: TwoFormField, x) -> np.ndarray:
+    """The antisymmetric block tensor a^{ij} = [[P, -A], [A^T, Q]] of the
+    2-form alpha at the (..., 2n) points x, with its first partials.
 
     Blocks are indexed so that a^{ij} pairs with coordinates ordered
     (q, p): the qq block is P, the qp block is -A, the pq block is A^T,
-    and the pp block is Q.  Each call builds the (..., 2n, 2n, 1 + 2n)
-    block array from alpha's jet once: the tensor values, then the 2n
-    partials d a^{ij}/dx^k on the last axis.
+    and the pp block is Q.  Returns one (..., 2n, 2n, 1 + 2n) array, built
+    from alpha's jet at x: the values a^{ij} on [..., 0] and the partials
+    da^{ij}/dx^k on [..., 1 + k].
     """
-
-    def __init__(self, alpha: TwoFormField):
-        self.n = alpha.n
-        self.alpha = alpha
-
-    def _blocks(self, x) -> np.ndarray:
-        n, pts = self.n, as_points(x, 2 * self.n)
-        jet = self.alpha.jet_at(pts)
-        Q, A, P = (np.concatenate([getattr(jet, k)[..., None], getattr(jet, f"d{k}_dq"),
-                                   getattr(jet, f"d{k}_dp")], axis=-1) for k in "QAP")
-        out = np.zeros(pts.shape[:-1] + (2 * n, 2 * n, 1 + 2 * n))
-        out[..., :n, :n, :] = P
-        out[..., :n, n:, :] = -A
-        out[..., n:, :n, :] = np.swapaxes(A, -3, -2)
-        out[..., n:, n:, :] = Q
-        return out
-
-    def tensor(self, x) -> np.ndarray:
-        return self._blocks(x)[..., 0]
-
-    def partials(self, x) -> np.ndarray:
-        return self._blocks(x)[..., 1:]
-
-    def check_antisymmetry(self, x) -> float:
-        t = self.tensor(x)
-        return float(np.max(np.abs(t + np.swapaxes(t, -1, -2))))
+    n, pts = alpha.n, as_points(x, 2 * alpha.n)
+    jet = alpha.jet_at(pts)
+    Q, A, P = (np.concatenate([getattr(jet, k)[..., None], getattr(jet, f"d{k}_dq"),
+                               getattr(jet, f"d{k}_dp")], axis=-1) for k in "QAP")
+    out = np.zeros(pts.shape[:-1] + (2 * n, 2 * n, 1 + 2 * n))
+    out[..., :n, :n, :] = P
+    out[..., :n, n:, :] = -A
+    out[..., n:, :n, :] = np.swapaxes(A, -3, -2)
+    out[..., n:, n:, :] = Q
+    return out
 
 
-def feng_shang_from_alpha(alpha: TwoFormField) -> FengShangTensor:
-    """Pack alpha's components into the block tensor [[P, -A], [A^T, Q]].
+def feng_shang_field(alpha: TwoFormField) -> GeneratedField:
+    """The divergence field X^i = da^{ij}/dx^j of alpha's block tensor
+    (`feng_shang_tensor`), of kind "feng-shang".
 
-    The resulting divergence field agrees with generate(alpha) exactly when
-    the trace terms d(trA)/dq and d(trA)/dp vanish, and differs otherwise.
+    It agrees with generate(alpha) exactly when tr A is constant, so that
+    the trace terms d(tr A)/dq and d(tr A)/dp vanish, and differs otherwise.
     """
-    return FengShangTensor(alpha)
-
-
-def feng_shang_field(tensor: FengShangTensor) -> GeneratedField:
-    """The divergence field X^i = da^{ij}/dx^j of an antisymmetric tensor."""
 
     def eval_fn(pts):
-        d = tensor.partials(pts)
-        return np.einsum("...ijj->...i", d)
+        return np.einsum("...ijj->...i", feng_shang_tensor(alpha, pts)[..., 1:])
 
-    return GeneratedField(tensor.n, eval_fn, "feng-shang")
+    return GeneratedField(alpha.n, eval_fn, "feng-shang")

@@ -36,7 +36,6 @@ from .generator import (
     _symplectic_matrix,
     decompose,
     feng_shang_field,
-    feng_shang_from_alpha,
     generate,
     hamiltonian_field,
 )
@@ -336,8 +335,7 @@ def check_feng_shang(n_list, trials: int, seed: int) -> SuiteResult:
     suite is skipped when its sampled half draws no case (no n of 2 or 3).
     """
     def gap(alpha, pts):
-        return _max_abs(feng_shang_field(feng_shang_from_alpha(alpha))(pts)
-                        - generate(alpha)(pts))
+        return _max_abs(feng_shang_field(alpha)(pts) - generate(alpha)(pts))
 
     def case(n, rng):
         alpha = _two_form_of(n, _draw(n, rng), traceless=True)

@@ -627,6 +627,22 @@ def test_oracle_names_the_component_that_overflows(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("alpha, point, component", [
+    # p1 = 1e200 overflows monomials that only pdot1 and pdot2 hold: summed
+    # over its own terms, qdot1 is 0 and qdot2 is -0.301
+    (["random", "--seed", "0"], "0,0,1e200,0", "pdot1"),
+    # q2 = 1e200 overflows the component A[0,0] of alpha's jet, not X
+    (["coupled"], "0,1e200,0,0", "A[0,0]"),
+    (["random", "--seed", "0"], "0,1e200,0,0", "A[0,0]"),
+], ids=["random-field", "coupled-jet", "random-jet"])
+def test_oracle_names_the_component_whose_own_terms_overflow(capsys, alpha, point, component):
+    assert main(["oracle", "--alpha"] + alpha + ["--point", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: non-finite evaluation in component {component} "
+                            f"at --point {point}\n")
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------- top level
 
 

@@ -16,7 +16,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volflow.cli import CONFIG_KEYS, main
+from volflow.cli import CONFIG_KEYS, ORACLE_ALPHAS, main
 from volflow.systems import SYSTEM_BUILDERS, _parameters
 
 # Numbers that are 0, negative, huge or not finite, beside a few ordinary
@@ -82,6 +82,33 @@ def check_flags(draw):
     return [token for item in flags.items() for token in item]
 
 
+@st.composite
+def oracle_args(draw):
+    """oracle's arguments: a named 2-form at a point of 4, 6 or 8 entries,
+    some huge, maybe with --n and --seed.  About half the draws have one
+    fault: an unknown alpha, an entry nan or x, a point of 2 or an odd
+    number of entries, or --n or --seed -1."""
+    alpha = draw(st.sampled_from(ORACLE_ALPHAS))
+    # the coupled 2-form is defined for n = 2 only
+    n = draw(st.sampled_from([2, 2, 3] if alpha == "coupled" else [2, 3, 4]))
+    point = draw(st.lists(st.sampled_from(["0", "0.1", "-1", "1e154", "1e200", "1e308"]),
+                          min_size=2 * n, max_size=2 * n))
+    flags = {"--n": draw(st.sampled_from([None, str(n)])),
+             "--seed": draw(st.sampled_from([None, "0", "1"]))}
+    fault = draw(st.one_of(st.none(), st.sampled_from(["alpha", "entry", "length",
+                                                       "--n", "--seed"])))
+    if fault == "alpha":
+        alpha = "not-an-alpha"
+    elif fault == "entry":
+        point[draw(st.integers(0, 2 * n - 1))] = draw(st.sampled_from(["nan", "x"]))
+    elif fault == "length":
+        point = point[:draw(st.sampled_from([2, 2 * n - 1]))]
+    elif fault:
+        flags[fault] = "-1"
+    return (["oracle", "--alpha", alpha, "--point=" + ",".join(point)]
+            + [f"{flag}={value}" for flag, value in flags.items() if value is not None])
+
+
 def _run(argv, workdir):
     """(exit code, stderr, warnings) of main(argv) run in workdir."""
     out, err = io.StringIO(), io.StringIO()
@@ -135,3 +162,19 @@ def test_any_check_flags_exit_0_1_or_2_with_one_message(flags):
         rc, err, caught = _run(["check"] + flags + ["--report", "report.json"], workdir)
         written = os.listdir(workdir)
     _assert_exit(rc, err, caught, written)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(oracle_args())
+def test_any_oracle_arguments_exit_0_1_or_2_with_one_message(argv):
+    with tempfile.TemporaryDirectory() as workdir:
+        rc, err, caught = _run(argv, workdir)
+    assert rc in (0, 1, 2)
+    assert not caught, caught
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if rc:
+        errors = [line for line in lines if line.startswith("error:")]
+        assert len(errors) == 1 and lines[-1] == errors[0], err
+    else:
+        assert err == ""

@@ -17,7 +17,7 @@ from volflow import (
     TwoFormField,
     decompose,
     feng_shang_field,
-    feng_shang_from_alpha,
+    feng_shang_tensor,
     generate,
     hamiltonian_field,
     hamiltonian_two_form,
@@ -315,7 +315,7 @@ def test_non_polynomial_fields_have_no_exact_tangent():
     wavy = ScalarField(lambda x: np.sin(x[..., 0]))
     X = generate(TwoFormField(2, A={(0, 1): wavy, (1, 1): p[0] * q[1]}))
     H = hamiltonian_field(wavy + p[0] * p[0], 2)
-    F = feng_shang_field(feng_shang_from_alpha(_witness_alpha()))
+    F = feng_shang_field(_witness_alpha())
     for field in (X, H, F):
         assert not field.exact_tangent
         with pytest.raises(TypeError):
@@ -583,6 +583,28 @@ def test_monomial_map_finite_check():
         assert info.value.component == name
 
 
+def test_an_overflowing_monomial_is_named_in_its_own_column():
+    # H = 1e-300 q3 q1^300: at q1 = 10.66, q1^300 overflows, so m(x) @ C is
+    # NaN (inf * 0) in every column whose coefficient on it is 0; only
+    # pdot3 = -dH/dq3 holds q1^300, and it is the column named
+    q = poly_variables(3)[0]
+    X = hamiltonian_field(q[2] * q[0] ** 300 * 1e-300, 3)
+    x = np.array([10.66, 0.5, 0.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(X._eval_fn(x)[:5]).all()
+        for call in (X, X.tangent, lambda x: X(np.stack([np.zeros(6), x]))):
+            with pytest.raises(FieldEvaluationError) as info:
+                call(x)
+            assert info.value.component == "pdot3"
+    # a sum that overflowed only in the call's order of summation: no own
+    # sum is infinite, so the call's first non-finite column is named
+    q, p = poly_variables(1)
+    fmap = _terms_map(2, [(0, 1.0, q[0]), (1, 1.0, p[0])], ["a", "b"])
+    with pytest.raises(FieldEvaluationError) as info:
+        _check_finite(np.array([1.0, np.inf]), fmap.names, fmap, np.ones(2))
+    assert info.value.component == "b"
+
+
 def test_a_monomial_map_differentiates_its_own_columns():
     """`tangent_map` of a map built straight from terms, whose exponents 3
     and 5 are no power of two: its X columns are the map's own call, and its
@@ -817,9 +839,9 @@ def test_feng_shang_block_layout():
         A={(0, 1): p[1], (1, 1): q[1]},
         P={(0, 1): p[0]},
     )
-    tensor = feng_shang_from_alpha(alpha)
     x = np.array([2.0, 3.0, 5.0, 7.0])
-    T = tensor.tensor(x)
+    blocks = feng_shang_tensor(alpha, x)
+    T = blocks[..., 0]
     assert T.shape == (4, 4)
     # layout [[P, -A], [A^T, Q]]
     P_block = np.array([[0.0, 5.0], [-5.0, 0.0]])
@@ -829,8 +851,8 @@ def test_feng_shang_block_layout():
     assert np.allclose(T[:2, 2:], -A_block)
     assert np.allclose(T[2:, :2], A_block.T)
     assert np.allclose(T[2:, 2:], Q_block)
-    assert tensor.check_antisymmetry(x) < 1e-12
-    parts = tensor.partials(x)
+    assert np.max(np.abs(T + T.T)) < 1e-12
+    parts = blocks[..., 1:]
     assert parts.shape == (4, 4, 4)
     # d T[0,3] / d p2 = d(-A^1_2)/dp_2 = -1
     assert parts[0, 3, 3] == pytest.approx(-1.0)
@@ -847,7 +869,7 @@ def test_feng_shang_agrees_when_trace_constant():
         P={(0, 1): q[0] * p[1]},
     )
     X = generate(alpha)
-    Y = feng_shang_field(feng_shang_from_alpha(alpha))
+    Y = feng_shang_field(alpha)
     assert Y.kind == "feng-shang"
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -861,7 +883,7 @@ def test_feng_shang_differs_for_nonconstant_trace():
     _, p = poly_variables(2)
     alpha = hamiltonian_two_form(p[0], 2)
     X = generate(alpha)
-    Y = feng_shang_field(feng_shang_from_alpha(alpha))
+    Y = feng_shang_field(alpha)
     x = np.array([0.2, 0.4, 0.6, 0.8])
     assert np.allclose(X(x), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(Y(x), [-1.0, 0.0, 0.0, 0.0], atol=1e-8)

@@ -1,4 +1,4 @@
-"""Write the 22 reference outputs of this checkout into one directory.
+"""Write the 27 reference outputs of this checkout into one directory.
 
     python3 tools/reference_outputs.py OUTDIR
 
@@ -12,6 +12,9 @@ byte-identical.  OUTDIR must not exist yet.  It receives:
   `coupled`, a config that names only `coupled-oscillators`; `random`,
   `random-alpha` at n = 3, seed 2, `sample_every` 7): `<name>.csv`,
   `<name>.diag.json` and `<name>.stdout`, next to `<name>.config.json`;
+- `oracle_<alpha>.stdout` for each of the five `volflow oracle --alpha`
+  names (`volflow.cli.ORACLE_ALPHAS`): `volflow oracle --alpha <alpha>
+  --point 0.3,-0.6,0.2,0.9 --seed 0`;
 - `demo_<name>.stdout` for each of the eight scripts under `demos/`;
 - `ensemble_seed<k>.npy` for seeds 1-3: the final states of the
   `ensemble` benchmark op (`perfbench/workloads.py`, full size).
@@ -30,6 +33,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from volflow.cli import ORACLE_ALPHAS  # noqa: E402  (needs the path above)
 
 SIMULATE_CONFIGS = {
     "readme": {"system": {"name": "coupled-oscillators"}, "dt": 1e-3, "steps": 10000,
@@ -77,11 +83,15 @@ def main(argv) -> int:
                                        "diagnostics": f"{name}.diag.json"})
         (out / f"{name}.config.json").write_text(json.dumps(config, indent=1) + "\n")
         _run(cli + ["simulate", "--config", f"{name}.config.json"], out, f"{name}.stdout")
+    for alpha in ORACLE_ALPHAS:
+        _run(cli + ["oracle", "--alpha", alpha, "--point", "0.3,-0.6,0.2,0.9", "--seed", "0"],
+             out, f"oracle_{alpha}.stdout")
     demos = sorted((ROOT / "demos").glob("*.py"))
     for demo in demos:
         _run([sys.executable, str(demo)], out, f"demo_{demo.stem}.stdout")
     _run([sys.executable, "-c", ENSEMBLE], out, extra_path=[ROOT / "perfbench"])
-    print(f"wrote {2 + 3 * len(SIMULATE_CONFIGS) + len(demos) + 3} outputs to {out}")
+    count = 2 + 3 * len(SIMULATE_CONFIGS) + len(ORACLE_ALPHAS) + len(demos) + 3
+    print(f"wrote {count} outputs to {out}")
     return 0
 
 
